@@ -15,6 +15,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_abl_cam_sweep",
                             "Ablation: filter CAM size sweep");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.checkpointScheme = CheckpointScheme::None;

@@ -50,6 +50,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_abl_eager_rollback",
                             "Ablation: rollback on demand vs eager rollback");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig lazy;
     lazy.monitorEnabled = false;

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_abl_granularity",
                             "Ablation: delta backup line granularity");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;

@@ -19,6 +19,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_abl_hybrid",
                             "Ablation: hybrid recovery macro-checkpoint period");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.consecutiveFailureThreshold = 2;

@@ -17,6 +17,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_abl_monitor_cost",
                             "Ablation: monitor check-cost scaling");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;

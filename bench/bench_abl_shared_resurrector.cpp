@@ -17,6 +17,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_abl_shared_resurrector",
                             "Ablation: shared resurrector time-slicing");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.checkpointScheme = CheckpointScheme::None;

@@ -28,9 +28,9 @@
  *
  * Usage: bench_adaptive_adversary [--jobs N] [--smoke]
  *                                 [--ablate K=V[,K=V...]]
- * --ablate applies dotted adversary.* / rejuvenation.* /
- * resilience.* / domain.* overrides to every cell (the
- * ablation-matrix flags).
+ * --ablate applies NodeConfig settings (adversary.*, rejuvenation.*,
+ * resilience.*, domain.*, SystemConfig fields, faults.plan) to every
+ * cell (the ablation-matrix flags).
  * --smoke shrinks the workload and self-checks: equal budgets, at
  * least one adaptive strategy strictly under the static attacker's
  * goodput, at least one caught re-infection, and at least one
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "resilience/ablation.hh"
 #include "resilience/storm.hh"
 
 using namespace indra;
@@ -149,19 +148,19 @@ runCell(const AttackerSpec &a, resilience::RejuvenationTrigger policy,
         const std::vector<std::string> &ablations,
         benchutil::ObsCollector &collector, std::size_t cell_idx)
 {
-    resilience::ResilienceConfig rc = defenseConfig(policy);
+    core::NodeConfig node{baseConfig(), faults::FaultPlan(),
+                          defenseConfig(policy)};
     resilience::StormPlan plan = stormPlan(a, budget, legit_requests);
-    SystemConfig cfg = baseConfig();
     // Command-line overrides land on top of the matrix cell, so a
-    // single flag sweeps the whole table through a what-if (the full
-    // router also accepts domain.* keys).
-    resilience::applyAblationSettings(cfg, plan.adversary, rc,
-                                      ablations);
+    // single flag sweeps the whole table through a what-if.
+    node.adversary = plan.adversary;
+    core::applyNodeSettings(node, ablations);
+    plan.adversary = node.adversary;
 
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 25000;
 
-    core::IndraSystem sys(core::NodeConfig{cfg, faults::FaultPlan(), rc});
+    core::IndraSystem sys(node);
     sys.attachTraceLog(collector.traceFor(cell_idx));
     sys.boot();
     std::size_t slot = sys.deployService(profile);
@@ -206,12 +205,12 @@ main(int argc, char **argv)
         "bench_adaptive_adversary",
         "Survivability matrix: adaptive attacker strategies vs "
         "proactive rejuvenation policies, at equal attack budget");
+    cli.obsPreset();
     bool smoke = false;
     std::string ablate_spec;
     cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
     cli.option("--ablate", "K=V[,K=V...]",
-               "dotted adversary.*/rejuvenation.*/resilience.*/"
-               "domain.* overrides applied to every cell",
+               "NodeConfig settings applied to every cell",
                &ablate_spec);
     auto sweep = cli.parse(argc, argv);
 

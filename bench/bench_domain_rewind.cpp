@@ -187,6 +187,7 @@ main(int argc, char **argv)
         "bench_domain_rewind",
         "Confined domain rewind vs full rejuvenation under the "
         "reinfect adversary, at equal attack budget");
+    cli.obsPreset();
     bool smoke = false;
     cli.flag("--smoke", "CI-sized subset with self-checks", &smoke);
     auto sweep = cli.parse(argc, argv);

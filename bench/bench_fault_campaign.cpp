@@ -80,6 +80,7 @@ main(int argc, char **argv)
     benchutil::BenchCli cli(
         "bench_fault_campaign",
         "Fault campaign: component failures vs the recovery ladder");
+    cli.obsPreset();
     bool smoke = false;
     cli.flag("--smoke", "single-seed single-daemon CI-sized subset",
              &smoke);

@@ -16,6 +16,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig09_il1_miss",
                             "Figure 9: L1 instruction cache miss rate");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig cfg;
     benchutil::printHeader(

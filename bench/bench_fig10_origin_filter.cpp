@@ -37,6 +37,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig10_origin_filter",
                             "Figure 10: code-origin checks surviving CAM filtering");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig cfg;
     benchutil::printHeader(

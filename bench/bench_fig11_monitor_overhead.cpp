@@ -16,6 +16,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig11_monitor_overhead",
                             "Figure 11: monitoring overhead on service response time");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;

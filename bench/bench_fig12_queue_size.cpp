@@ -17,6 +17,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig12_queue_size",
                             "Figure 12: normalized response time vs trace-FIFO size");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     const std::vector<std::uint32_t> sizes = {8, 16, 24, 32, 48, 64};
 

@@ -17,6 +17,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig13_request_interval",
                             "Figure 13: instructions between service requests");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig cfg;
     benchutil::printHeader(

@@ -18,6 +18,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig14_page_copy_slowdown",
                             "Figure 14: slowdown with page-copy virtual checkpointing");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;

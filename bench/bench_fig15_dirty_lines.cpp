@@ -20,6 +20,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig15_dirty_lines",
                             "Figure 15: touched-page lines requiring backup");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig cfg;
     cfg.monitorEnabled = false;

@@ -19,6 +19,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_fig16_backup_rollback",
                             "Figure 16: slowdown of monitor+backup and rollback every other request");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;

@@ -165,6 +165,7 @@ main(int argc, char **argv)
         "bench_overload_storm",
         "Graceful degradation under attack storms: admission control, "
         "health state machine, goodput vs raw throughput");
+    cli.obsPreset();
     bool smoke = false;
     std::string fault_spec;
     cli.flag("--smoke",

@@ -19,6 +19,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_sec_eval",
                             "Security evaluation (Section 4.1): documented exploits");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig cfg;
     cfg.consecutiveFailureThreshold = 2;

@@ -17,6 +17,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_table2_detection",
                             "Table 2: remote exploit inspection");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig cfg;
     benchutil::printHeader("Table 2: remote exploit inspection", cfg);

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     setLogVerbosity(0);
     benchutil::BenchCli cli("bench_table3_backup_schemes",
                             "Table 3: memory backup approaches");
+    cli.obsPreset();
     auto sweep = cli.parse(argc, argv);
     SystemConfig base;
     base.monitorEnabled = false;

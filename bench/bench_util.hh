@@ -193,8 +193,17 @@ class BenchCli
     BenchCli(std::string prog, std::string summary)
         : progName(std::move(prog)), progSummary(std::move(summary))
     {
-        // Every sweep bench exports the same way; register the
-        // observability options once, here, instead of in 18 benches.
+    }
+
+    /**
+     * Register the observability preset: --stats-json, --trace and
+     * --trace-format. Only a bench that builds an ObsCollector from
+     * obs() registers it, so a bench that would write neither file
+     * rejects the flags instead of silently ignoring them.
+     */
+    void
+    obsPreset()
+    {
         option("--stats-json", "PATH",
                "write the final stats tree as JSON", &obsOpts.statsJsonPath);
         option("--trace", "PATH",

@@ -19,7 +19,8 @@
  *
  * Every escaped cell is shrunk (greedy delta debugging preserving
  * "still escapes on the same component") to a minimal reproducer;
- * --repro-dir writes them as JSON files --replay re-runs exactly.
+ * --repro-dir writes them as JSON files --replay re-runs exactly
+ * (the directory is created if missing).
  *
  * Usage: bench_vuln_map [--jobs N] [--smoke]
  *                       [--seeds N] [--seed-base N] [--rates R[,R...]]
@@ -39,6 +40,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -249,7 +251,14 @@ main(int argc, char **argv)
                "campaign runner)", &ablateSpec);
     auto sweep = cli.parse(argc, argv);
 
-    // rca.* keys ride the same dotted-key router as every other node
+    if (!reproDir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(reproDir, ec);
+        fatal_if(ec, "--repro-dir: cannot create '", reproDir,
+                 "': ", ec.message());
+    }
+
+    // rca.* keys sit in the same settings table as every other node
     // setting; unknown keys die here, naming the key. The smoke
     // defaults are seeded before the ablations so rca.* overrides
     // win.

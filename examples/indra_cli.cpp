@@ -20,12 +20,12 @@
  *                         INDRA_JOBS; default hardware_concurrency,
  *                         1 = serial). Output is identical for any N.
  *
- * Everything else is a NodeConfig setting routed by dotted key
- * (core/node_config.hh): a SystemConfig field, faults.plan, or a
- * dotted adversary./rejuvenation./resilience./domain. ablation key,
- * e.g.:
+ * The numeric driver keys take a plain unsigned integer; anything
+ * else is a fatal error naming the key. Every other key=value is a
+ * NodeConfig setting from the one settings table
+ * (core/node_config.hh; --help lists every key), e.g.:
  *   checkpointScheme=virtual-checkpoint traceFifoEntries=16
- *   faults.plan=macro-corrupt:0.1 resilience.admission=0.75
+ *   faults.plan=macro-corrupt:0.1 resilience.queue_bound=8
  */
 
 #include <iomanip>
@@ -69,10 +69,8 @@ printHelp()
         "(parallel sweep)\n"
         "attacks: benign stack-smash code-injection func-ptr-hijack "
         "format-string dos-flood dormant\n\n"
-        "node keys are routed by dotted prefix: faults.plan=SPEC and\n"
-        "adversary./rejuvenation./resilience./domain. ablation keys\n"
-        "(see resilience/ablation.hh), plus the config keys:\n";
-    for (const auto &k : knownSettingKeys())
+        "node settings (flags take 1/0/true/false/yes/no/on/off):\n";
+    for (const auto &k : core::nodeSettingKeys())
         std::cout << "  " << k << "\n";
 }
 
@@ -170,8 +168,8 @@ main(int argc, char **argv)
 
     unsigned jobs = parseJobs(args);
     // One NodeConfig built from the command line: every key=value
-    // that is not a driver key goes through the dotted-key router,
-    // which fatals on typos instead of guessing.
+    // that is not a driver key goes through the settings table, which
+    // fatals on typos instead of guessing.
     static const char *driverKeys[] = {"daemon", "requests", "warmup",
                                        "attack", "attack_period",
                                        "instr", "stats", "jobs"};
@@ -190,14 +188,14 @@ main(int argc, char **argv)
     }
 
     auto daemons = splitDaemons(driverArg(args, "daemon", "httpd"));
-    std::uint64_t instr =
-        std::stoull(driverArg(args, "instr", "0"));
-    std::uint64_t requests =
-        std::stoull(driverArg(args, "requests", "20"));
-    std::uint64_t warmup = std::stoull(driverArg(args, "warmup", "2"));
+    auto count = [&args](const std::string &key, const char *fallback) {
+        return parseUnsigned(key, driverArg(args, key, fallback));
+    };
+    std::uint64_t instr = count("instr", "0");
+    std::uint64_t requests = count("requests", "20");
+    std::uint64_t warmup = count("warmup", "2");
     std::string attack_name = driverArg(args, "attack", "benign");
-    std::uint64_t period =
-        std::stoull(driverArg(args, "attack_period", "0"));
+    std::uint64_t period = count("attack_period", "0");
     bool dump_stats = driverArg(args, "stats", "0") == "1";
 
     node.system.print(std::cout);

@@ -17,12 +17,13 @@ bin=${1:?usage: rca_roundtrip.sh <bench_vuln_map>}
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
-mkdir -p "$out/repro"
+# A fresh nested path: --repro-dir must create it.
+repro="$out/repro/escaped"
 echo "=== [rca-roundtrip] --smoke sweep with reproducer output"
-"$bin" --smoke --jobs 2 --repro-dir "$out/repro" > "$out/smoke.txt"
+"$bin" --smoke --jobs 2 --repro-dir "$repro" > "$out/smoke.txt"
 
 escaped=$(awk '/escaped cells,/ { print $1 }' "$out/smoke.txt")
-wrote=$(ls "$out/repro" | wc -l)
+wrote=$(ls "$repro" | wc -l)
 echo "=== [rca-roundtrip] $escaped escaped cells, $wrote reproducers"
 if [ -z "$escaped" ] || [ "$escaped" -eq 0 ]; then
     echo "rca roundtrip: smoke sweep produced no escaped cells" >&2
@@ -38,7 +39,7 @@ if [ "$wrote" -lt "$escaped" ]; then
 fi
 
 echo "=== [rca-roundtrip] replaying every reproducer via --replay"
-for f in "$out"/repro/*.json; do
+for f in "$repro"/*.json; do
     "$bin" --replay "$f" > "$out/replay.txt" || {
         echo "rca roundtrip: replay mismatch for $f" >&2
         cat "$out/replay.txt" >&2

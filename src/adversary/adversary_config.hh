@@ -5,8 +5,9 @@
  * occupancy, health transitions, shed decisions) and adapts its
  * attack schedule in response.
  *
- * Exposed as `adversary.*` ablation keys so strategy matrices fall
- * out of config alone (the rdma-dm-sim `index.ablations.*` idiom):
+ * Set through the `adversary.*` keys of the NodeConfig settings table
+ * (core/node_config.hh), so strategy matrices fall out of config
+ * alone (the rdma-dm-sim `index.ablations.*` idiom):
  *
  *   adversary.strategy            fixed | probe-burst | reinfect |
  *                                 latency-tuner (arming the switch)
@@ -55,8 +56,10 @@ constexpr std::size_t adversaryStrategyCount = 4;
 /** Printable strategy name ("fixed", "probe-burst", ...). */
 const char *adversaryStrategyName(AdversaryStrategy s);
 
-/** Parse a strategy name; fatal (with the name) when unknown. */
-AdversaryStrategy adversaryStrategyFromName(const std::string &name);
+/** Parse a strategy name; fatal (naming @p key) when unknown. */
+AdversaryStrategy
+adversaryStrategyFromName(const std::string &name,
+                          const std::string &key = "adversary.strategy");
 
 /** Knobs of one closed-loop attacker. */
 struct AdversaryConfig
@@ -93,13 +96,6 @@ struct AdversaryConfig
     /** One-line render of the armed knobs (bench cell labels). */
     std::string describe() const;
 };
-
-/**
- * Apply one `adversary.*` setting. Unknown keys and malformed values
- * are fatal errors naming the offending key — never silently ignored.
- */
-void applyAdversarySetting(AdversaryConfig &cfg, const std::string &key,
-                           const std::string &value);
 
 } // namespace indra::adversary
 

@@ -1,6 +1,5 @@
 #include "check/scenario.hh"
 
-#include <array>
 #include <sstream>
 #include <utility>
 
@@ -8,34 +7,12 @@
 #include "check/json_reader.hh"
 #include "core/system.hh"
 #include "obs/json.hh"
+#include "sim/config_reader.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace indra::check
 {
-
-namespace
-{
-
-CheckpointScheme
-schemeFromName(const std::string &name)
-{
-    static constexpr std::array<CheckpointScheme, 6> all = {
-        CheckpointScheme::None,
-        CheckpointScheme::DeltaBackup,
-        CheckpointScheme::VirtualCheckpoint,
-        CheckpointScheme::MemoryUpdateLog,
-        CheckpointScheme::SoftwareCheckpoint,
-        CheckpointScheme::DomainRewind,
-    };
-    for (CheckpointScheme s : all) {
-        if (name == checkpointSchemeName(s))
-            return s;
-    }
-    fatal("unknown checkpoint scheme '", name, "'");
-}
-
-} // anonymous namespace
 
 std::uint64_t
 Scenario::requestCount() const
@@ -135,8 +112,8 @@ Scenario::fromJson(const std::string &text)
     Scenario sc;
     sc.seed = doc.u64("seed", sc.seed);
     sc.daemon = doc.str("daemon", sc.daemon);
-    sc.scheme = schemeFromName(
-        doc.str("scheme", checkpointSchemeName(sc.scheme)));
+    sc.scheme = checkpointSchemeFromName(
+        doc.str("scheme", checkpointSchemeName(sc.scheme)), "scheme");
     sc.instrPerRequest =
         doc.u64("instr_per_request", sc.instrPerRequest);
     sc.macroPeriod = doc.u64("macro_period", sc.macroPeriod);
@@ -343,8 +320,8 @@ makePlantedDomainScenario(std::uint64_t seed)
     return sc;
 }
 
-ScenarioVerdict
-runScenario(const Scenario &sc)
+core::NodeConfig
+nodeConfigFor(const Scenario &sc)
 {
     SystemConfig cfg;
     cfg.physMemBytes = 128ULL * 1024 * 1024;
@@ -352,6 +329,8 @@ runScenario(const Scenario &sc)
     cfg.checkpointScheme = sc.scheme;
     cfg.macroCheckpointPeriod = sc.macroPeriod;
     cfg.consecutiveFailureThreshold = sc.failThreshold;
+    if (sc.domainCount)
+        cfg.domainCount = sc.domainCount;
 
     faults::FaultPlan plan;
     plan.setSeed(sc.seed);
@@ -376,11 +355,13 @@ runScenario(const Scenario &sc)
         rcfg.rejuvenation.suspicionThreshold = 4.0;
         rcfg.rejuvenation.cooldown = 100000;
     }
+    return core::NodeConfig{cfg, std::move(plan), rcfg};
+}
 
-    if (sc.domainCount)
-        cfg.domainCount = sc.domainCount;
-
-    core::IndraSystem sys(cfg, plan, rcfg);
+ScenarioVerdict
+runScenario(const Scenario &sc)
+{
+    core::IndraSystem sys(nodeConfigFor(sc));
     SystemChecker checker(sys);
     PlantedBugSink plantedSink(checker, sys, sc.plantAtEpoch);
     sys.attachChecker(sc.plantAtEpoch

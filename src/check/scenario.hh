@@ -26,6 +26,7 @@
 
 #include "adversary/adversary_config.hh"
 #include "check/invariants.hh"
+#include "core/node_config.hh"
 #include "faults/fault_plan.hh"
 #include "net/request.hh"
 #include "resilience/rejuvenation.hh"
@@ -124,6 +125,13 @@ struct ScenarioVerdict
     std::uint64_t checks = 0;    //!< oracle checks evaluated
     std::uint64_t violations = 0;
 };
+
+/**
+ * The node build recipe of @p sc. The fuzz oracle (runScenario), the
+ * rca campaign's faulted run and its fault-stripped golden twin all
+ * build their system from this one value, so their verdicts agree.
+ */
+core::NodeConfig nodeConfigFor(const Scenario &sc);
 
 /**
  * Build the system described by @p sc, attach the oracle, run the

@@ -1,31 +1,28 @@
 /**
  * @file
  * NodeConfig: everything one revivable node is built from, in one
- * aggregate.
+ * aggregate, and the single settings table that reaches it.
  *
- * Historically a node was assembled from three positional configs —
- * IndraSystem(SystemConfig, FaultPlan, ResilienceConfig) — with the
- * adversary knobs riding separately on the StormPlan. A cluster of
- * nodes wants to stamp out many identical nodes from one value and
- * tweak any knob from config alone, so this aggregate folds all four
- * together and routes every setting through one dotted-key entry
- * point:
+ * A node is a resurrector plus its resurrectees built from one set of
+ * parameters: the SystemConfig (Table 4 plus the checkpoint scheme),
+ * a fault plan, the overload-resilience and rejuvenation knobs, the
+ * adaptive-attacker knobs its storms use, and the root-cause-analysis
+ * knobs its campaigns use. A cluster stamps many identical nodes out
+ * of one value and tweaks any knob from config alone.
  *
- *   adversary.* / rejuvenation.* / resilience.* / domain.*
- *       the survivability ablation router (resilience/ablation.hh)
- *   faults.plan
- *       a FaultPlan::parse() spec ("kind:rate[:magnitude],...")
- *   rca.*
- *       the root-cause-analysis knobs (rca/rca_config.hh)
- *   everything else
- *       a SystemConfig field name (sim/config_reader.hh), e.g.
- *       "checkpointScheme=domain-rewind" or "traceFifoEntries=64"
+ * applyNodeSetting() is the only way to set a key. It looks the key
+ * up in one flat table (node_config.cc) of {key, apply} entries; each
+ * entry parses its value with one of the strict shared parsers of
+ * sim/config_reader.hh (unsigned with the field's width as maximum,
+ * real with a range, flag) or an enum's *FromName function. Keys are
+ * SystemConfig field names ("traceFifoEntries") or dotted names
+ * ("faults.plan", "domain.count", "adversary.budget",
+ * "resilience.queue_bound", "rejuvenation.trigger", "rca.replay").
+ * Unknown keys, empty values and malformed or out-of-range values are
+ * fatal errors naming the key.
  *
- * Unknown keys and malformed values are fatal errors naming the
- * offending key. A default NodeConfig builds exactly the node the
- * default three-argument constructor built: empty fault plan,
- * disarmed resilience, disarmed adversary — the zero-cost-when-off
- * contract is unchanged.
+ * A default NodeConfig follows the zero-cost-when-off contract: empty
+ * fault plan, disarmed resilience, disarmed adversary.
  */
 
 #ifndef INDRA_CORE_NODE_CONFIG_HH
@@ -49,9 +46,9 @@ struct NodeConfig
 {
     NodeConfig() = default;
     /**
-     * Wrap the historical positional triple, so call sites migrating
-     * from IndraSystem(cfg, plan, rcfg) spell NodeConfig{cfg, plan,
-     * rcfg} (or any prefix of it) without partial-aggregate warnings.
+     * Build from the three configs IndraSystem consumes, so a call
+     * site spells NodeConfig{cfg, plan, rcfg} (or any prefix of it)
+     * without partial-aggregate warnings.
      */
     explicit NodeConfig(SystemConfig system_cfg,
                         faults::FaultPlan fault_plan = {},
@@ -78,15 +75,14 @@ struct NodeConfig
      * Root-cause-analysis knobs for fault campaigns over this node.
      * Like the adversary block, IndraSystem never reads these; the
      * rca campaign runner and its benches consume them, and they live
-     * here so `rca.*` routes through the same dotted-key entry point.
+     * here so `rca.*` keys sit in the same settings table.
      */
     rca::RcaConfig rca;
 };
 
 /**
- * Apply one dotted "key=value" setting to whichever member owns it
- * (see the file comment for the routing table). Unknown keys and
- * malformed values are fatal, naming @p key.
+ * Apply one "key=value" setting through the settings table. Unknown
+ * keys, empty values and malformed values are fatal, naming @p key.
  */
 void applyNodeSetting(NodeConfig &node, const std::string &key,
                       const std::string &value);
@@ -97,6 +93,9 @@ void applyNodeSetting(NodeConfig &node, const std::string &key,
  */
 void applyNodeSettings(NodeConfig &node,
                        const std::vector<std::string> &settings);
+
+/** Every key of the settings table, in table order (--help text). */
+std::vector<std::string> nodeSettingKeys();
 
 } // namespace indra::core
 

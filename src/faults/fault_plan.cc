@@ -102,13 +102,13 @@ allFaultComponents()
 }
 
 FaultKind
-faultKindFromName(const std::string &name)
+faultKindFromName(const std::string &name, const std::string &key)
 {
     for (FaultKind k : allFaultKinds()) {
         if (name == faultKindName(k))
             return k;
     }
-    fatal("unknown fault kind '", name, "'");
+    fatal("setting '", key, "': unknown fault kind '", name, "'");
 }
 
 FaultPlan &
@@ -160,7 +160,8 @@ FaultPlan::empty() const
 }
 
 FaultPlan
-FaultPlan::parse(const std::string &text, std::uint64_t seed)
+FaultPlan::parse(const std::string &text, std::uint64_t seed,
+                 const std::string &key)
 {
     FaultPlan plan;
     plan.setSeed(seed);
@@ -176,32 +177,34 @@ FaultPlan::parse(const std::string &text, std::uint64_t seed)
         std::string field;
         while (std::getline(cs, field, ':'))
             fields.push_back(field);
-        fatal_if(fields.size() < 2 || fields[1].empty(),
-                 "fault clause '", clause, "' needs kind:rate");
-        fatal_if(fields.size() > 3, "fault clause '", clause,
+        fatal_if(fields.size() < 2 || fields[1].empty(), "setting '",
+                 key, "': fault clause '", clause, "' needs kind:rate");
+        fatal_if(fields.size() > 3, "setting '", key,
+                 "': fault clause '", clause,
                  "' has extra fields (want kind:rate[:magnitude])");
-        FaultKind kind = faultKindFromName(fields[0]);
+        FaultKind kind = faultKindFromName(fields[0], key);
         double rate = 0.0;
         std::uint64_t magnitude = 0;
         std::size_t pos = 0;
         try {
             rate = std::stod(fields[1], &pos);
         } catch (const std::exception &) {
-            fatal("bad rate '", fields[1], "' in fault clause '",
-                  clause, "'");
+            fatal("setting '", key, "': bad rate '", fields[1],
+                  "' in fault clause '", clause, "'");
         }
-        fatal_if(pos != fields[1].size(), "bad rate '", fields[1],
-                 "' in fault clause '", clause,
-                 "': trailing characters");
+        fatal_if(pos != fields[1].size(), "setting '", key,
+                 "': bad rate '", fields[1], "' in fault clause '",
+                 clause, "': trailing characters");
         if (fields.size() == 3 && !fields[2].empty()) {
             try {
                 magnitude = std::stoull(fields[2], &pos);
             } catch (const std::exception &) {
-                fatal("bad magnitude '", fields[2],
+                fatal("setting '", key, "': bad magnitude '", fields[2],
                       "' in fault clause '", clause, "'");
             }
-            fatal_if(pos != fields[2].size(), "bad magnitude '",
-                     fields[2], "' in fault clause '", clause,
+            fatal_if(pos != fields[2].size(), "setting '", key,
+                     "': bad magnitude '", fields[2],
+                     "' in fault clause '", clause,
                      "': trailing characters");
         }
         plan.add(kind, rate, magnitude);

@@ -48,8 +48,9 @@ constexpr std::size_t faultKindCount = 9;
 /** Printable fault-kind name ("trace-drop", "delta-flip", ...). */
 const char *faultKindName(FaultKind k);
 
-/** Parse a fault-kind name; fatal() if unknown. */
-FaultKind faultKindFromName(const std::string &name);
+/** Parse a fault-kind name; fatal() naming @p key if unknown. */
+FaultKind faultKindFromName(const std::string &name,
+                            const std::string &key = "kind");
 
 /** All kinds, in declaration order (campaign sweep axis). */
 const std::array<FaultKind, faultKindCount> &allFaultKinds();
@@ -129,10 +130,11 @@ class FaultPlan
     /**
      * Parse "kind:rate[:magnitude]" clauses separated by commas, e.g.
      * "delta-flip:0.01,monitor-delay:0.2:50000". fatal() on a
-     * malformed clause.
+     * malformed clause, naming the setting @p key.
      */
     static FaultPlan parse(const std::string &text,
-                           std::uint64_t seed = 1);
+                           std::uint64_t seed = 1,
+                           const std::string &key = "faults.plan");
 
     /** Render as the parse() syntax. */
     std::string describe() const;

@@ -6,7 +6,7 @@ namespace indra::net
 {
 
 AttackKind
-attackKindFromName(const std::string &name)
+attackKindFromName(const std::string &name, const std::string &key)
 {
     for (AttackKind k :
          {AttackKind::None, AttackKind::StackSmash,
@@ -16,7 +16,7 @@ attackKindFromName(const std::string &name)
         if (name == attackKindName(k))
             return k;
     }
-    fatal("unknown attack kind '", name, "'");
+    fatal("setting '", key, "': unknown attack kind '", name, "'");
 }
 
 const char *

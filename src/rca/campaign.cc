@@ -11,47 +11,6 @@
 namespace indra::rca
 {
 
-core::NodeConfig
-nodeConfigFor(const check::Scenario &sc)
-{
-    // Mirror of check::runScenario's config assembly: the campaign's
-    // faulted run must be the same machine the fuzz oracle would
-    // build for this scenario, or rca verdicts and oracle verdicts
-    // stop agreeing.
-    SystemConfig cfg;
-    cfg.physMemBytes = 128ULL * 1024 * 1024;
-    cfg.rngSeed = sc.seed;
-    cfg.checkpointScheme = sc.scheme;
-    cfg.macroCheckpointPeriod = sc.macroPeriod;
-    cfg.consecutiveFailureThreshold = sc.failThreshold;
-    if (sc.domainCount)
-        cfg.domainCount = sc.domainCount;
-
-    faults::FaultPlan plan;
-    plan.setSeed(sc.seed);
-    for (const check::FaultSetting &f : sc.faults)
-        plan.add(f.kind, f.rate, f.magnitude);
-
-    resilience::ResilienceConfig rcfg;
-    if (sc.guardArmed) {
-        rcfg.queueBound = 8;
-        rcfg.tokensPerMCycle[static_cast<std::size_t>(
-            net::ClientClass::Bulk)] = 40.0;
-        rcfg.tokenBurst[static_cast<std::size_t>(
-            net::ClientClass::Bulk)] = 10.0;
-        rcfg.fifoHighWater = 24;
-    }
-    if (sc.rejuvenationTrigger != resilience::RejuvenationTrigger::None) {
-        rcfg.rejuvenation.trigger = sc.rejuvenationTrigger;
-        rcfg.rejuvenation.period = 400000;
-        rcfg.rejuvenation.epochLimit = 4;
-        rcfg.rejuvenation.suspicionThreshold = 4.0;
-        rcfg.rejuvenation.cooldown = 100000;
-    }
-
-    return core::NodeConfig{cfg, std::move(plan), rcfg};
-}
-
 std::vector<net::ServiceRequest>
 scenarioRequests(const check::Scenario &sc)
 {
@@ -118,7 +77,7 @@ runCampaign(const check::Scenario &sc, const RcaConfig &rcfg)
     res.requests = requests.size();
 
     // ------------------------------------------------- faulted run
-    core::IndraSystem sys(nodeConfigFor(sc));
+    core::IndraSystem sys(check::nodeConfigFor(sc));
     sys.boot();
 
     net::DaemonProfile profile = net::daemonByName(sc.daemon);

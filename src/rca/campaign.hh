@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "check/scenario.hh"
-#include "core/node_config.hh"
 #include "rca/attribution.hh"
 #include "rca/rca_config.hh"
 
@@ -42,14 +41,6 @@ struct CampaignResult
     /** Golden replay ran (RcaConfig::replay, and a twin was built). */
     bool replayed = false;
 };
-
-/**
- * The node build recipe of @p sc: the same config assembly the fuzz
- * oracle uses (check::runScenario), expressed as a NodeConfig so the
- * faulted system and its fault-stripped golden twin are built from
- * one value.
- */
-core::NodeConfig nodeConfigFor(const check::Scenario &sc);
 
 /**
  * @p sc's request schedule as explicit 0-based-seq requests — the

@@ -20,7 +20,7 @@ ReplayDetector::rerun(const check::Scenario &sc,
     // Same node recipe as the faulted run, faults stripped: the twin
     // sees the identical rngSeed, scheme, and daemon, so any window
     // that differs is caused by an injection, not by build skew.
-    core::NodeConfig node = nodeConfigFor(sc);
+    core::NodeConfig node = check::nodeConfigFor(sc);
     node.faults = faults::FaultPlan{};
 
     core::IndraSystem sys(node);

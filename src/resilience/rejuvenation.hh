@@ -12,8 +12,8 @@
  *               failures, corruption detections, queue pressure;
  *               decayed by served requests) crosses a threshold
  *
- * Exposed as `rejuvenation.*` ablation keys so the policy matrix is
- * pure config:
+ * Set through the `rejuvenation.*` keys of the NodeConfig settings
+ * table (core/node_config.hh), so the policy matrix is pure config:
  *
  *   rejuvenation.trigger    periodic | epoch | suspicion (arms)
  *   rejuvenation.period     periodic: cycles between restores
@@ -54,8 +54,10 @@ constexpr std::size_t rejuvenationTriggerCount = 4;
 /** Printable trigger name ("periodic", ...). */
 const char *rejuvenationTriggerName(RejuvenationTrigger t);
 
-/** Parse a trigger name; fatal (with the name) when unknown. */
-RejuvenationTrigger rejuvenationTriggerFromName(const std::string &name);
+/** Parse a trigger name; fatal (naming @p key) when unknown. */
+RejuvenationTrigger rejuvenationTriggerFromName(
+    const std::string &name,
+    const std::string &key = "rejuvenation.trigger");
 
 /** Knobs of one service's proactive-rejuvenation policy. */
 struct RejuvenationConfig
@@ -79,14 +81,6 @@ struct RejuvenationConfig
     /** One-line render of the armed knobs (bench cell labels). */
     std::string describe() const;
 };
-
-/**
- * Apply one `rejuvenation.*` setting. Unknown keys and malformed
- * values are fatal errors naming the offending key.
- */
-void applyRejuvenationSetting(RejuvenationConfig &cfg,
-                              const std::string &key,
-                              const std::string &value);
 
 /** The scorekeeper deciding when a proactive restore is due. */
 class RejuvenationPolicy

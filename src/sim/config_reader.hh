@@ -1,13 +1,16 @@
 /**
  * @file
- * key=value configuration parsing for SystemConfig, used by the CLI
- * driver and scriptable examples. Keys mirror the SystemConfig field
- * names (e.g.\ "traceFifoEntries=64 checkpointScheme=delta-backup").
+ * Strict value parsers shared by every "key=value" setting: the
+ * NodeConfig settings table (core/node_config.hh), the --jobs knob,
+ * and the CLI driver keys. Each parser accepts the whole string or
+ * dies with a fatal() that names the originating key.
  */
 
 #ifndef INDRA_SIM_CONFIG_READER_HH
 #define INDRA_SIM_CONFIG_READER_HH
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -27,22 +30,28 @@ checkpointSchemeFromName(const std::string &name,
                          const std::string &key = "checkpointScheme");
 
 /**
- * Apply one "key=value" setting.
- * @return true if the key was recognized.
+ * Parse a decimal unsigned integer in [@p min, @p max]. Empty input,
+ * a sign, trailing characters, overflow and out-of-range values are
+ * fatal, naming @p key.
  */
-bool applySetting(SystemConfig &cfg, const std::string &key,
-                  const std::string &value);
+std::uint64_t
+parseUnsigned(const std::string &key, const std::string &value,
+              std::uint64_t min = 0,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /**
- * Apply every "key=value" token in @p args; tokens without '=' are
- * ignored (callers handle their own positional arguments). Unknown
- * keys are fatal so typos don't silently run a default config.
+ * Parse a real number in [@p lo, @p hi], or in (@p lo, @p hi] when
+ * @p lo_open. Malformed input, NaN and out-of-range values are fatal,
+ * naming @p key.
  */
-void applySettings(SystemConfig &cfg,
-                   const std::vector<std::string> &args);
+double parseReal(const std::string &key, const std::string &value,
+                 double lo, double hi, bool lo_open = false);
 
-/** All recognized keys, for --help text. */
-std::vector<std::string> knownSettingKeys();
+/**
+ * Parse a flag: 1/true/yes/on or 0/false/no/off. Anything else is
+ * fatal, naming @p key.
+ */
+bool parseFlag(const std::string &key, const std::string &value);
 
 /**
  * Extract the experiment-harness parallelism knob from @p args:

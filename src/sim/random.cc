@@ -107,4 +107,12 @@ Pcg32::fork()
     return Pcg32(seed, stream);
 }
 
+Cycles
+expGap(Pcg32 &rng, double rate_per_mcycle)
+{
+    double u = rng.uniformReal();
+    double gap = -std::log(1.0 - u) * 1e6 / rate_per_mcycle;
+    return gap < 1.0 ? 1 : static_cast<Cycles>(gap);
+}
+
 } // namespace indra

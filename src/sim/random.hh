@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "sim/logging.hh"
+#include "sim/types.hh"
 
 namespace indra
 {
@@ -94,6 +95,12 @@ class Pcg32
     std::uint64_t state;
     std::uint64_t inc;
 };
+
+/**
+ * Exponential interarrival gap (>= 1 cycle) for an arrival rate of
+ * @p rate_per_mcycle per million cycles; one draw from @p rng.
+ */
+Cycles expGap(Pcg32 &rng, double rate_per_mcycle);
 
 } // namespace indra
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Cluster-layer tests: the Zipf sharder, the shared resurrector
- * pool, the balancer links, the NodeConfig dotted-key router, the
+ * pool, the balancer links, the NodeConfig settings table, the
  * NodeHandle stepping contract (window placement is invisible —
  * stepped reports equal runStorm's), and ClusterSim's --jobs
  * bit-identity.
@@ -205,7 +205,7 @@ TEST(NodeLink, TokenBucketCapsSustainedRate)
     EXPECT_GT(link.throttleDelay(), 0u);
 }
 
-// ------------------------------------------------ NodeConfig router
+// ---------------------------------------- NodeConfig settings table
 
 TEST(NodeConfigRouter, RoutesByDottedPrefix)
 {
@@ -242,43 +242,9 @@ TEST(NodeConfigRouter, AppliesListsAndDiesOnGarbage)
     EXPECT_EQ(5u, node.resilience.queueBound);
 
     EXPECT_DEATH(core::applyNodeSetting(node, "no.such_key", "1"),
-                 "unknown");
+                 "unknown node setting 'no.such_key'");
     EXPECT_DEATH(core::applyNodeSettings(node, {"notkeyvalue"}),
                  "key=value");
-}
-
-TEST(NodeConfigCompat, AggregateMatchesThreeArgCtor)
-{
-    // The deprecated 3-arg constructor and the NodeConfig aggregate
-    // build identical machines: same deterministic run, same report.
-    SystemConfig cfg;
-    cfg.physMemBytes = 64ULL * 1024 * 1024;
-    resilience::ResilienceConfig rc;
-    rc.queueBound = 6;
-
-    resilience::StormPlan plan;
-    plan.seed = 11;
-    plan.legitRequests = 30;
-    plan.legitRatePerMCycle = 2.0;
-    plan.attackRatePerMCycle = 4.0;
-
-    net::DaemonProfile profile = net::daemonByName("httpd");
-    profile.instrPerRequest = 20000;
-
-    auto runWith = [&](core::IndraSystem &sys) {
-        sys.boot();
-        std::size_t slot = sys.deployService(profile);
-        return sys.runStorm(slot, plan);
-    };
-    core::IndraSystem legacy(cfg, faults::FaultPlan(), rc);
-    core::IndraSystem aggregate(
-        core::NodeConfig{cfg, faults::FaultPlan(), rc});
-    resilience::StormReport a = runWith(legacy);
-    resilience::StormReport b = runWith(aggregate);
-    EXPECT_EQ(a.executed, b.executed);
-    EXPECT_EQ(a.legitServed, b.legitServed);
-    EXPECT_EQ(a.endTick, b.endTick);
-    EXPECT_EQ(a.shedTotal(), b.shedTotal());
 }
 
 // --------------------------------------------- NodeHandle stepping

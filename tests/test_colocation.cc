@@ -12,6 +12,7 @@
 
 using namespace indra;
 using core::IndraSystem;
+using core::NodeConfig;
 using net::AttackKind;
 using net::RequestStatus;
 
@@ -59,7 +60,7 @@ imageOf(IndraSystem &sys, Pid pid)
 TEST(Colocation, TwoServicesTimeShareOneCore)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t dns = sys.deployCoService(slot, shortDaemon("bind"));
@@ -79,7 +80,7 @@ TEST(Colocation, TwoServicesTimeShareOneCore)
 TEST(Colocation, AttackOnOneProcessLeavesTheOtherIntact)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t dns = sys.deployCoService(slot, shortDaemon("bind"));
@@ -107,7 +108,7 @@ TEST(Colocation, AttackOnOneProcessLeavesTheOtherIntact)
 TEST(Colocation, MonitorMetadataIsPerProcess)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t co = sys.deployCoService(slot, shortDaemon("imap"));
@@ -128,7 +129,7 @@ TEST(Colocation, MonitorMetadataIsPerProcess)
 TEST(Colocation, ContextSwitchChargedBetweenProcesses)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd"));
     std::size_t co = sys.deployCoService(slot, shortDaemon("bind"));
@@ -144,7 +145,7 @@ TEST(Colocation, ContextSwitchChargedBetweenProcesses)
 TEST(OpenLoop, ResponseIncludesQueueingBehindRecovery)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 20000));
 
@@ -174,7 +175,7 @@ TEST(OpenLoop, ResponseIncludesQueueingBehindRecovery)
 TEST(OpenLoop, SlowArrivalsMeanNoQueueing)
 {
     setLogVerbosity(0);
-    IndraSystem sys(coConfig());
+    IndraSystem sys(NodeConfig{coConfig()});
     sys.boot();
     std::size_t slot = sys.deployService(shortDaemon("httpd", 20000));
     auto warm = sys.runScript(net::ClientScript::benign(2), slot);

@@ -9,6 +9,7 @@
 
 using namespace indra;
 using core::IndraSystem;
+using core::NodeConfig;
 
 namespace
 {
@@ -29,7 +30,7 @@ run(const SystemConfig &cfg, std::uint64_t requests,
 {
     net::DaemonProfile profile = net::daemonByName("httpd");
     profile.instrPerRequest = 20000;
-    IndraSystem sys(cfg);
+    IndraSystem sys(NodeConfig{cfg});
     sys.boot();
     std::size_t slot = sys.deployService(profile);
     auto script = period

@@ -3,7 +3,7 @@
  * Tests for the isolated-domain rewind scheme: the DomainMap ownership
  * contract against the RefDomain golden model, anchor capture and
  * confined rewind exactness at the system level, the cross-domain
- * escalation boundary, per-domain health, the ablation router's
+ * escalation boundary, per-domain health, the settings table's
  * domain.* keys, and --jobs bit-identity of a domain-rewind storm.
  */
 
@@ -19,7 +19,6 @@
 #include "net/daemon_profile.hh"
 #include "net/request.hh"
 #include "os/domain_map.hh"
-#include "resilience/ablation.hh"
 #include "resilience/domain_health.hh"
 #include "resilience/resilience_config.hh"
 #include "resilience/storm.hh"
@@ -225,7 +224,7 @@ TEST(DomainHealth, ZeroHealStreakClampsToOne)
 
 TEST(DomainRewind, AttackRewindsOnlyTheAttributedDomain)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
 
     // Touch every domain so ownership is spread around.
@@ -266,7 +265,7 @@ TEST(DomainRewind, AttackRewindsOnlyTheAttributedDomain)
 
 TEST(DomainRewind, CrossDomainAttackEscalatesPastTheRewind)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
     for (std::uint64_t seq = 1; seq <= 4; ++seq)
         sys.processRequest(slot, requestIn(seq, seq % 4));
@@ -283,7 +282,7 @@ TEST(DomainRewind, CrossDomainAttackEscalatesPastTheRewind)
 
 TEST(DomainRewind, RewindHealsDormantDamageInTheAttributedDomain)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
 
     // Plant dormant damage in domain 3, then fail there: attribution
@@ -302,7 +301,7 @@ TEST(DomainRewind, RewindHealsDormantDamageInTheAttributedDomain)
 
 TEST(DomainRewind, UnassignedRequestsFallBackToSeqRoundRobin)
 {
-    core::IndraSystem sys(domainSystemConfig());
+    core::IndraSystem sys(core::NodeConfig{domainSystemConfig()});
     std::size_t slot = deployHttpd(sys);
     net::ServiceRequest req;
     req.seq = 6;  // 6 % 4 == domain 2
@@ -315,7 +314,7 @@ TEST(DomainRewind, OtherSchemesReportNoDomainActivity)
 {
     SystemConfig cfg = domainSystemConfig();
     cfg.checkpointScheme = CheckpointScheme::DeltaBackup;
-    core::IndraSystem sys(cfg, {}, armedResilience());
+    core::IndraSystem sys(core::NodeConfig{cfg, {}, armedResilience()});
     std::size_t slot = deployHttpd(sys);
     // The per-domain board only exists under the domain scheme.
     ASSERT_NE(sys.slot(slot).guard, nullptr);
@@ -329,7 +328,8 @@ TEST(DomainRewind, OtherSchemesReportNoDomainActivity)
 
 TEST(DomainStorm, ReinfectAdversaryIsRewoundWithNoDormantSurvivors)
 {
-    core::IndraSystem sys(domainSystemConfig(), {}, armedResilience());
+    core::IndraSystem sys(
+        core::NodeConfig{domainSystemConfig(), {}, armedResilience()});
     std::size_t slot = deployHttpd(sys);
     resilience::StormReport rep = sys.runStorm(slot, reinfectStorm());
     EXPECT_GE(rep.domainRewinds, 1u);
@@ -346,7 +346,8 @@ TEST(DomainStorm, ReportIsBitIdenticalAcrossSweepJobs)
         return sweep.run(4, [](std::size_t i) {
             SystemConfig cfg = domainSystemConfig(
                 2 + 2 * static_cast<std::uint32_t>(i));
-            core::IndraSystem sys(cfg, {}, armedResilience());
+            core::IndraSystem sys(
+                core::NodeConfig{cfg, {}, armedResilience()});
             std::size_t slot = deployHttpd(sys);
             return sys.runStorm(slot, reinfectStorm());
         });
@@ -362,44 +363,26 @@ TEST(DomainStorm, ReportIsBitIdenticalAcrossSweepJobs)
 
 TEST(DomainAblation, FullRouterAppliesDomainKeys)
 {
-    SystemConfig sys;
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    resilience::applyAblationSettings(
-        sys, adv, rc,
-        {"domain.count=8", "domain.rewind_setup_cycles=123",
-         "domain.heal_streak=9", "adversary.budget=5"});
-    EXPECT_EQ(sys.domainCount, 8u);
-    EXPECT_EQ(sys.domainRewindSetupCycles, 123u);
-    EXPECT_EQ(rc.domainHealStreak, 9u);
-    EXPECT_EQ(adv.budget, 5u);
-}
-
-TEST(DomainAblationDeathTest, TwoConfigRouterRefusesDomainKeys)
-{
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    EXPECT_DEATH(
-        resilience::applyAblationSetting(adv, rc, "domain.count", "4"),
-        "SystemConfig");
+    core::NodeConfig node;
+    core::applyNodeSettings(
+        node, {"domain.count=8", "domain.rewind_setup_cycles=123",
+               "domain.heal_streak=9", "adversary.budget=5"});
+    EXPECT_EQ(node.system.domainCount, 8u);
+    EXPECT_EQ(node.system.domainRewindSetupCycles, 123u);
+    EXPECT_EQ(node.resilience.domainHealStreak, 9u);
+    EXPECT_EQ(node.adversary.budget, 5u);
 }
 
 TEST(DomainAblationDeathTest, UnknownDomainKeyDiesListingValidOnes)
 {
-    SystemConfig sys;
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    EXPECT_DEATH(resilience::applyAblationSetting(
-                     sys, adv, rc, "domain.bogus", "1"),
-                 "count, rewind_setup_cycles, heal_streak");
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSetting(node, "domain.bogus", "1"),
+                 "domain.bogus.*count, rewind_setup_cycles, heal_streak");
 }
 
 TEST(DomainAblationDeathTest, ZeroHealStreakDies)
 {
-    SystemConfig sys;
-    adversary::AdversaryConfig adv;
-    resilience::ResilienceConfig rc;
-    EXPECT_DEATH(resilience::applyAblationSetting(
-                     sys, adv, rc, "domain.heal_streak", "0"),
+    core::NodeConfig node;
+    EXPECT_DEATH(core::applyNodeSetting(node, "domain.heal_streak", "0"),
                  "heal_streak");
 }

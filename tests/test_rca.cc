@@ -89,7 +89,7 @@ failureDigest(const CampaignResult &res)
 TEST(RcaSiteLog, MatchesInjectedCounters)
 {
     Scenario sc = campaignScenario(faults::FaultKind::DeltaFlip, 0.5, 7);
-    core::IndraSystem sys(rca::nodeConfigFor(sc));
+    core::IndraSystem sys(check::nodeConfigFor(sc));
     sys.boot();
     net::DaemonProfile profile = net::daemonByName(sc.daemon);
     profile.instrPerRequest = sc.instrPerRequest;
@@ -276,8 +276,8 @@ TEST(RcaAttribution, FormatSiteId)
               "monitor-verdict/monitor-miss#3@120000 (site 7)");
 }
 
-// rca.* keys route through the NodeConfig dotted-key entry point;
-// unknown rca keys die naming the key.
+// rca.* keys sit in the NodeConfig settings table; unknown rca keys
+// die naming the key.
 TEST(RcaConfigTest, DottedKeysRouted)
 {
     core::NodeConfig node;
@@ -305,8 +305,8 @@ TEST(RcaConfigDeathTest, UnknownKeyFatal)
     EXPECT_DEATH(
         core::applyNodeSetting(node, "rca.latency_slack", "abc"),
         "rca.latency_slack");
-    RcaConfig cfg;
-    EXPECT_DEATH(rca::applyRcaSetting(cfg, "rca.nope", "1"), "rca.nope");
+    EXPECT_DEATH(core::applyNodeSetting(node, "rca.nope", "1"),
+                 "rca.nope");
 }
 
 } // anonymous namespace
