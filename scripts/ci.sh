@@ -6,14 +6,15 @@
 #                  harness determinism, fault campaign smoke, overload
 #                  storm smoke with its self-checks, and the obs
 #                  export smoke: --stats-json/--trace validation).
-#   ci-asan-ubsan  address+undefined sanitizers over the labelled
-#                  corruption paths: -L faults, resilience, harness,
-#                  obs, check, adversary (the differential-oracle
-#                  tests run with INDRA_CHECK=ON under both sanitizer
-#                  configs).
+#   ci-asan-ubsan  address+undefined sanitizers over the unit tests
+#                  and the labelled corruption paths: -L unit, faults,
+#                  resilience, harness, obs, check, adversary, domain,
+#                  cluster, rca (the differential-oracle tests run
+#                  with INDRA_CHECK=ON under both sanitizer configs).
 #   ci-tsan        thread sanitizer over the parallel sweep harness,
 #                  the storm cells, and the per-cell trace logs:
-#                  -L harness, resilience, obs, check, adversary.
+#                  -L harness, resilience, obs, check, adversary,
+#                  domain, cluster, rca.
 #
 # The ci-release leg additionally runs scripts/perf_gate.sh (the
 # canonical bench_perf_kernel sweep, exported as BENCH_perf.json and

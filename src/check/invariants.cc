@@ -207,7 +207,9 @@ watchdogGrantsBacked(const CheckContext &ctx, std::string &detail)
         return true;
     // The kernel revokes grants when a page is unmapped or remapped,
     // so no live grant may point at a freed frame.
-    for (const auto &[pfn, mask] : ctx.watchdog->grantTable()) {
+    const auto &grants = ctx.watchdog->grantTable();
+    for (Pfn pfn = 0; pfn < grants.size(); ++pfn) {
+        std::uint64_t mask = grants[pfn];
         if (mask == 0)
             continue;
         if (!ctx.phys->isAllocated(pfn)) {

@@ -150,12 +150,12 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
     if (pid != context.pid())
         return 0;
     Vpn vpn = vaddr / config.pageBytes;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *page = space.find(vpn);
+    if (!page)
         return 0;
 
     Cycles cost = 0;
     BackupPageRecord &rec = recordFor(vpn, tick, cost);
-    const os::PageInfo &page = space.pageInfo(vpn);
     std::uint64_t gts = context.gts();
 
     // New epoch for this page: clear the dirty bitvector lazily
@@ -164,7 +164,10 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
         rec.dirtyBv.clearAll();
         rec.lts = gts;
     }
-    touchedThisEpoch.insert(vpn);
+    if (rec.touchStamp != touchEpoch) {
+        rec.touchStamp = touchEpoch;
+        touchedThisEpoch.push_back(vpn);
+    }
 
     std::uint32_t page_off =
         static_cast<std::uint32_t>(vaddr % config.pageBytes);
@@ -195,10 +198,10 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
             // never applied: the current line survives and is resealed
             // as the new reference value.
             if (lineIntact(rec, line)) {
-                copyLine(page.pfn, off, rec.backupPfn, off);
+                copyLine(page->pfn, off, rec.backupPfn, off);
             } else {
                 ++statCorruptionDetected;
-                copyLine(rec.backupPfn, off, page.pfn, off);
+                copyLine(rec.backupPfn, off, page->pfn, off);
             }
             rec.rollbackBv.clear(line);
             if (!rec.rollbackBv.any())
@@ -211,7 +214,7 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
                 false);
         } else {
             // Copy the original line into the backup page.
-            copyLine(rec.backupPfn, off, page.pfn, off);
+            copyLine(rec.backupPfn, off, page->pfn, off);
             rec.dirtyBv.set(line);
             sealBackupLine(rec, line);
             ++statLinesBackedUp;
@@ -232,17 +235,17 @@ DeltaBackup::onStore(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
 Cycles
 DeltaBackup::onLoad(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
 {
-    if (pid != context.pid())
+    if (!rollbackArmed || pid != context.pid())
         return 0;
     Vpn vpn = vaddr / config.pageBytes;
     BackupPageRecord *found = findRecord(vpn);
     if (!found || !found->rollbackVld)
         return 0;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *page = space.find(vpn);
+    if (!page)
         return 0;
 
     BackupPageRecord &rec = *found;
-    const os::PageInfo &page = space.pageInfo(vpn);
     Cycles cost = 0;
     if (!memsys.dTlb().contains(context.pid(), vpn))
         cost += config.backupRecordFetchCycles;
@@ -270,7 +273,7 @@ DeltaBackup::onLoad(Tick tick, Pid pid, Addr vaddr, std::uint32_t bytes)
         }
         // Figure 5: serve the read from the backup line and recover
         // the active line on the way.
-        copyLine(page.pfn, off, rec.backupPfn, off);
+        copyLine(page->pfn, off, rec.backupPfn, off);
         rec.rollbackBv.clear(line);
         ++statLazyLineRecoveries;
         cost += chargeLineTransfer(
@@ -290,15 +293,22 @@ DeltaBackup::onRequestBegin(Tick tick)
 {
     (void)tick;
     // The previous request completed: sample the Figure 15 metric.
-    if (!touchedThisEpoch.empty()) {
+    closeEpoch(true);
+    return 0;
+}
+
+void
+DeltaBackup::closeEpoch(bool sample)
+{
+    if (sample && !touchedThisEpoch.empty()) {
         double pages = static_cast<double>(touchedThisEpoch.size());
-        double total_lines = pages * linesPerPage();
         statPagesPerRequest.sample(pages);
-        statDirtyLineRatio.sample(epochLinesBackedUp / total_lines);
+        statDirtyLineRatio.sample(epochLinesBackedUp /
+                                  (pages * linesPerPage()));
     }
     touchedThisEpoch.clear();
+    ++touchEpoch;
     epochLinesBackedUp = 0;
-    return 0;
 }
 
 Cycles
@@ -319,20 +329,14 @@ DeltaBackup::onFailure(Tick tick)
         rec.rollbackBv.orWith(rec.dirtyBv);
         rec.dirtyBv.clearAll();
         rec.rollbackVld = true;
+        rollbackArmed = true;
         ++armed_pages;
         cost += config.rollbackArmCycles;
     }
     INDRA_TRACE(traceLog, tick, obs::EventKind::RollbackArmed,
                 traceSource, armed_pages, cost);
     // The failed request's backup activity is accounted to it.
-    if (!touchedThisEpoch.empty()) {
-        double pages = static_cast<double>(touchedThisEpoch.size());
-        statPagesPerRequest.sample(pages);
-        statDirtyLineRatio.sample(epochLinesBackedUp /
-                                  (pages * linesPerPage()));
-    }
-    touchedThisEpoch.clear();
-    epochLinesBackedUp = 0;
+    closeEpoch(true);
     statRecoveryCycles += static_cast<double>(cost);
     return cost;
 }
@@ -386,8 +390,8 @@ DeltaBackup::invalidate()
         rec.rollbackVld = false;
         rec.lts = 0;
     }
-    touchedThisEpoch.clear();
-    epochLinesBackedUp = 0;
+    closeEpoch(false);
+    rollbackArmed = false;
 }
 
 Cycles
@@ -395,9 +399,10 @@ DeltaBackup::drainRollback(Tick tick)
 {
     Cycles cost = 0;
     for (auto &[vpn, rec] : records) {
-        if (!rec.rollbackVld || !space.isMapped(vpn))
+        const os::PageInfo *page =
+            rec.rollbackVld ? space.find(vpn) : nullptr;
+        if (!page)
             continue;
-        const os::PageInfo &page = space.pageInfo(vpn);
         for (std::uint32_t line = 0; line < linesPerPage(); ++line) {
             if (!rec.rollbackBv.test(line))
                 continue;
@@ -407,7 +412,7 @@ DeltaBackup::drainRollback(Tick tick)
                 rec.rollbackBv.clear(line);
                 continue;
             }
-            copyLine(page.pfn, off, rec.backupPfn, off);
+            copyLine(page->pfn, off, rec.backupPfn, off);
             rec.rollbackBv.clear(line);
             ++statLazyLineRecoveries;
             cost += chargeLineTransfer(
@@ -415,7 +420,7 @@ DeltaBackup::drainRollback(Tick tick)
                 false);
             cost += chargeLineTransfer(
                 tick + cost,
-                memsys.backupAddr(page.pfn, off), true);
+                memsys.backupAddr(page->pfn, off), true);
         }
         rec.rollbackVld = false;
     }

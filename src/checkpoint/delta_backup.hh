@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "checkpoint/bitvec.hh"
@@ -35,6 +34,8 @@ struct BackupPageRecord
     LineBitVector dirtyBv;        //!< lines backed up this epoch
     LineBitVector rollbackBv;     //!< lines pending lazy rollback
     bool rollbackVld = false;     //!< fast "any rollback pending" flag
+    /** Touch epoch in which the page last joined the touched list. */
+    std::uint64_t touchStamp = 0;
     /**
      * Per-line FNV checksum of the backup copy, recorded when the
      * line entered the backup page; consulted for lines with a dirty
@@ -99,8 +100,8 @@ class DeltaBackup : public CheckpointPolicy
         return records;
     }
 
-    /** Vpns whose record's LTS equals the current GTS (read-only). */
-    const std::unordered_set<Vpn> &
+    /** Vpns whose record's LTS equals the current GTS, once each. */
+    const std::vector<Vpn> &
     touchedSet() const
     {
         return touchedThisEpoch;
@@ -160,6 +161,9 @@ class DeltaBackup : public CheckpointPolicy
     /** Get-or-create the record for @p vpn. */
     BackupPageRecord &recordFor(Vpn vpn, Tick tick, Cycles &cost);
 
+    /** Sample the Figure 15 metrics if @p sample; start a new epoch. */
+    void closeEpoch(bool sample);
+
     /** Checksum of one backup line's current bytes. */
     std::uint32_t lineChecksum(Pfn pfn, std::uint32_t off) const;
 
@@ -177,9 +181,13 @@ class DeltaBackup : public CheckpointPolicy
     Vpn lastVpn = ~static_cast<Vpn>(0);
     BackupPageRecord *lastRec = nullptr;
     mutable std::vector<std::uint8_t> lineBuf;
-    /** vpns whose record's LTS equals the current GTS. */
-    std::unordered_set<Vpn> touchedThisEpoch;
+    /** vpns whose record's LTS equals the current GTS, each once. */
+    std::vector<Vpn> touchedThisEpoch;
+    /** Bumped by closeEpoch; a record stamped with it is listed. */
+    std::uint64_t touchEpoch = 1;
     std::uint64_t epochLinesBackedUp = 0;
+    /** No record can be pending rollback while this is false. */
+    bool rollbackArmed = false;
 
     stats::Scalar statRecordsAllocated;
     stats::Scalar statLazyLineRecoveries;

@@ -38,21 +38,21 @@ DomainRewindEngine::onStore(Tick tick, Pid pid, Addr vaddr,
     if (pid != context.pid())
         return cost;
     Vpn vpn = vaddr / config.pageBytes;
-    if (!space.isMapped(vpn))
+    const os::PageInfo *page = space.find(vpn);
+    if (!page)
         return cost;
 
     // First write to this page since the last invalidate: capture its
     // pristine content as the domain anchor before the store lands.
     // The store hooks run ahead of the architectural write, so the
     // page still holds its compartment-entry bytes here.
-    auto it = anchors.find(vpn);
-    if (it == anchors.end()) {
-        Pfn cur = space.pageInfo(vpn).pfn;
+    auto it = anchors.lower_bound(vpn);
+    if (it == anchors.end() || it->first != vpn) {
         Pfn anchor = phys.allocFrame();
-        copyPage(anchor, cur);
-        anchors.emplace(vpn, anchor);
+        copyPage(anchor, page->pfn);
+        anchors.emplace_hint(it, vpn, anchor);
         ++statAnchorPagesAllocated;
-        cost += chargePageCopy(tick + cost, cur, anchor);
+        cost += chargePageCopy(tick + cost, page->pfn, anchor);
     }
     if (domains.claim(vpn, activeDom))
         ++statSharedPages;
@@ -81,11 +81,11 @@ DomainRewindEngine::rewindAttributed(Tick tick)
     for (const auto &[vpn, anchor] : anchors) {
         if (domains.ownerOf(vpn) != attributed || domains.isShared(vpn))
             continue;
-        if (!space.isMapped(vpn))
+        const os::PageInfo *page = space.find(vpn);
+        if (!page)
             continue;
-        Pfn cur = space.pageInfo(vpn).pfn;
-        copyPage(cur, anchor);
-        cost += chargePageCopy(tick + cost, anchor, cur);
+        copyPage(page->pfn, anchor);
+        cost += chargePageCopy(tick + cost, anchor, page->pfn);
         lastRewound.push_back(vpn);
     }
     ++statDomainRewinds;

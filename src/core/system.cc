@@ -102,7 +102,7 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
         *s->bus, *s->dram, *s->statGroup);
     s->core = std::make_unique<cpu::Core>(cfg, s->coreId, Privilege::Low,
                                           *s->hierarchy, *phys,
-                                          *kernelPtr, *s->statGroup);
+                                          *s->statGroup);
     s->core->setSyscallHandler(kernelPtr.get());
 
     s->app = std::make_unique<net::ServiceApplication>(

@@ -56,6 +56,8 @@ struct MemOutcome
     bool l1iFill = false;
     /** The access missed all on-chip caches and went to DRAM. */
     bool wentToDram = false;
+    /** The frame the access translated to; invalidPfn on a fault. */
+    Pfn pfn = invalidPfn;
 };
 
 /**
@@ -85,26 +87,20 @@ class MemHierarchy
     fetch(Tick tick, Pid pid, Addr vaddr)
     {
         MemOutcome out;
-        out.fault = translateAndCheck(pid, vaddr);
-        if (out.fault != MemFault::None) {
-            ++statFaults;
+        if (!translateAndCheck(pid, vaddr, out))
             return out;
-        }
 
-        Cycles latency = 0;
         if (!itlb.access(pid, vaddr / config.pageBytes).hit)
-            latency += itlb.missPenalty();
+            out.latency += itlb.missPenalty();
 
         CacheResult l1r = l1i.access(vaddr, false);
-        latency += config.l1i.hitLatency;
-        if (l1r.hit) {
-            out.latency = latency;
+        out.latency += config.l1i.hitLatency;
+        if (l1r.hit)
             return out;
-        }
 
         // L1I miss: the fill crosses the L2->IL1 interface, which is
         // where INDRA's code-origin inspection hooks in (Section 2.3.2).
-        out = l2Path(tick, vaddr, false, latency);
+        l2Path(tick, vaddr, false, out);
         out.l1iFill = true;
         return out;
     }
@@ -113,53 +109,16 @@ class MemHierarchy
     MemOutcome
     load(Tick tick, Pid pid, Addr vaddr)
     {
-        MemOutcome out;
-        out.fault = translateAndCheck(pid, vaddr);
-        if (out.fault != MemFault::None) {
-            ++statFaults;
-            return out;
-        }
-
-        Cycles latency = 0;
-        if (!dtlb.access(pid, vaddr / config.pageBytes).hit)
-            latency += dtlb.missPenalty();
-
-        CacheResult l1r = l1d.access(vaddr, false);
-        latency += config.l1d.hitLatency;
-        if (l1r.hit) {
-            out.latency = latency;
-            return out;
-        }
-        if (l1r.writeback)
-            l2.access(l1r.victimAddr, true);
-        return l2Path(tick, vaddr, false, latency);
+        return dataAccess(tick, pid, vaddr, false);
     }
 
     /** Data store of up to one line at @p vaddr. */
     MemOutcome
     store(Tick tick, Pid pid, Addr vaddr)
     {
-        MemOutcome out;
-        out.fault = translateAndCheck(pid, vaddr);
-        if (out.fault != MemFault::None) {
-            ++statFaults;
-            return out;
-        }
-
-        Cycles latency = 0;
-        if (!dtlb.access(pid, vaddr / config.pageBytes).hit)
-            latency += dtlb.missPenalty();
-
-        CacheResult l1r = l1d.access(vaddr, true);
-        latency += config.l1d.hitLatency;
-        if (l1r.hit) {
-            out.latency = latency;
-            return out;
-        }
-        if (l1r.writeback)
-            l2.access(l1r.victimAddr, true);
-        // Write-allocate: fetch the line, then the store completes.
-        return l2Path(tick, vaddr, true, latency);
+        // Write-allocate: a miss fetches the line, then the store
+        // completes.
+        return dataAccess(tick, pid, vaddr, true);
     }
 
     /**
@@ -222,16 +181,39 @@ class MemHierarchy
     Privilege privilege() const { return priv; }
 
   private:
-    /** Shared L2-and-beyond path for both instruction and data. */
+    /** Data load or store: D-TLB, L1D, then the shared L2 path. */
     MemOutcome
-    l2Path(Tick tick, Addr vaddr, bool is_write, Cycles latency_so_far)
+    dataAccess(Tick tick, Pid pid, Addr vaddr, bool is_write)
     {
         MemOutcome out;
-        out.latency = latency_so_far + config.l2.hitLatency;
+        if (!translateAndCheck(pid, vaddr, out))
+            return out;
+
+        if (!dtlb.access(pid, vaddr / config.pageBytes).hit)
+            out.latency += dtlb.missPenalty();
+
+        CacheResult l1r = l1d.access(vaddr, is_write);
+        out.latency += config.l1d.hitLatency;
+        if (l1r.hit)
+            return out;
+        if (l1r.writeback)
+            l2.access(l1r.victimAddr, true);
+        l2Path(tick, vaddr, is_write, out);
+        return out;
+    }
+
+    /**
+     * Shared L2-and-beyond path for both instruction and data; adds
+     * to the latency already in @p out.
+     */
+    void
+    l2Path(Tick tick, Addr vaddr, bool is_write, MemOutcome &out)
+    {
+        out.latency += config.l2.hitLatency;
 
         CacheResult l2r = l2.access(vaddr, is_write);
         if (l2r.hit)
-            return out;
+            return;
 
         // L2 miss: fetch the line over the bus from DRAM.
         out.wentToDram = true;
@@ -248,22 +230,27 @@ class MemHierarchy
             BusResult wb = bus.transfer(dr.doneTick, config.l2.lineBytes);
             dram.access(wb.startTick, l2r.victimAddr, config.l2.lineBytes);
         }
-        return out;
     }
 
-    /** Translate and watchdog-check; fills fault on failure. */
-    MemFault
-    translateAndCheck(Pid pid, Addr vaddr) const
+    /**
+     * Translate and watchdog-check. Fills @p out's frame on success,
+     * its fault on failure. @return true when the access may proceed.
+     */
+    bool
+    translateAndCheck(Pid pid, Addr vaddr, MemOutcome &out)
     {
-        Vpn vpn = vaddr / config.pageBytes;
-        Pfn pfn = xlate.translate(pid, vpn);
-        if (pfn == invalidPfn)
-            return MemFault::Unmapped;
-        if (watchdog &&
-            watchdog->check(core, priv, pfn) != WatchdogVerdict::Allowed) {
-            return MemFault::Protection;
+        Pfn pfn = xlate.translate(pid, vaddr / config.pageBytes);
+        if (pfn == invalidPfn) {
+            out.fault = MemFault::Unmapped;
+        } else if (watchdog && watchdog->check(core, priv, pfn) !=
+                                   WatchdogVerdict::Allowed) {
+            out.fault = MemFault::Protection;
+        } else {
+            out.pfn = pfn;
+            return true;
         }
-        return MemFault::None;
+        ++statFaults;
+        return false;
     }
 
     const SystemConfig &config;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Physical memory: a sparse frame store with a frame allocator.
+ * Physical memory: a lazily materialized frame store with a frame
+ * allocator.
  *
  * Functional state lives here — every byte a resurrectee writes is
  * really stored, which lets the checkpoint engines be verified for
@@ -13,7 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -23,9 +24,10 @@ namespace indra::mem
 {
 
 /**
- * Sparse physical memory. Frames are allocated from a bump-plus-free-
- * list allocator; frame contents are materialized lazily (all-zero
- * until first written).
+ * Physical memory. Frames are allocated from a bump-plus-free-list
+ * allocator; frame contents are materialized lazily (all-zero until
+ * first written, released again on free). Per-frame state lives in
+ * flat tables indexed by Pfn, so every access is an array index.
  */
 class PhysicalMemory
 {
@@ -61,12 +63,12 @@ class PhysicalMemory
     {
         checkFrame(pfn);
         panic_if(offset + len > frameBytes, "read crosses frame boundary");
-        const auto *data = peek(pfn);
+        const std::uint8_t *data = frames[pfn].get();
         if (!data) {
             std::memset(out, 0, len);
             return;
         }
-        std::memcpy(out, data->data() + offset, len);
+        std::memcpy(out, data + offset, len);
     }
 
     /** Write @p len bytes from @p in at (@p pfn, @p offset). */
@@ -75,8 +77,7 @@ class PhysicalMemory
     {
         checkFrame(pfn);
         panic_if(offset + len > frameBytes, "write crosses frame boundary");
-        auto &data = materialize(pfn);
-        std::memcpy(data.data() + offset, in, len);
+        std::memcpy(materialize(pfn) + offset, in, len);
         ++versions[pfn];
     }
 
@@ -124,30 +125,19 @@ class PhysicalMemory
     std::uint64_t
     frameVersion(Pfn pfn) const
     {
-        auto it = versions.find(pfn);
-        return it == versions.end() ? 0 : it->second;
+        checkFrame(pfn);
+        return versions[pfn];
     }
 
   private:
-    /** Backing store for a frame, created on first write. */
-    std::vector<std::uint8_t> &
+    /** Backing store for a frame, created (zeroed) on first write. */
+    std::uint8_t *
     materialize(Pfn pfn)
     {
-        auto it = frames.find(pfn);
-        if (it == frames.end()) {
-            it = frames
-                     .emplace(pfn,
-                              std::vector<std::uint8_t>(frameBytes, 0))
-                     .first;
-        }
-        return it->second;
-    }
-
-    const std::vector<std::uint8_t> *
-    peek(Pfn pfn) const
-    {
-        auto it = frames.find(pfn);
-        return it == frames.end() ? nullptr : &it->second;
+        auto &data = frames[pfn];
+        if (!data)
+            data = std::make_unique<std::uint8_t[]>(frameBytes);
+        return data.get();
     }
 
     void
@@ -161,9 +151,10 @@ class PhysicalMemory
     std::uint64_t nextFresh = 0;
     std::uint64_t allocated = 0;
     std::vector<Pfn> freeList;
-    std::unordered_map<Pfn, std::vector<std::uint8_t>> frames;
-    std::unordered_map<Pfn, bool> live;
-    std::unordered_map<Pfn, std::uint64_t> versions;
+    /** Frame contents by Pfn; null until first written. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> frames;
+    std::vector<bool> live;
+    std::vector<std::uint64_t> versions;
 };
 
 } // namespace indra::mem

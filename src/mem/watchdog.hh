@@ -14,7 +14,7 @@
 #define INDRA_MEM_WATCHDOG_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -66,12 +66,12 @@ class MemWatchdog
         // behaviour, not a denial, and grant() already enforces the
         // limit on the producing side.
         panic_if(core >= 64, "watchdog supports at most 64 cores");
-        auto it = grants.find(pfn);
-        if (it == grants.end()) {
+        std::uint64_t mask = maskOf(pfn);
+        if (mask == 0) {
             ++denied;
             return WatchdogVerdict::DeniedPrivate;
         }
-        if (!(it->second & (1ULL << core))) {
+        if (!(mask & (1ULL << core))) {
             ++denied;
             return WatchdogVerdict::DeniedWrongCore;
         }
@@ -84,16 +84,23 @@ class MemWatchdog
     /** Number of denied accesses observed so far. */
     std::uint64_t denials() const;
 
-    /** Per-frame grant masks, for invariant checkers (read-only). */
-    const std::unordered_map<Pfn, std::uint64_t> &
+    /** Grant masks indexed by Pfn, for invariant checkers (read-only). */
+    const std::vector<std::uint64_t> &
     grantTable() const
     {
         return grants;
     }
 
   private:
-    /** Bitmask of granted core IDs per frame (up to 64 cores). */
-    std::unordered_map<Pfn, std::uint64_t> grants;
+    /** Grant mask of @p pfn; 0 means resurrector-private. */
+    std::uint64_t
+    maskOf(Pfn pfn) const
+    {
+        return pfn < grants.size() ? grants[pfn] : 0;
+    }
+
+    /** Granted-core bitmask per Pfn (up to 64 cores), grown on grant. */
+    std::vector<std::uint64_t> grants;
 
     stats::StatGroup statGroup;
     stats::Scalar checks;

@@ -46,8 +46,8 @@ AddressSpace::translate(Pid pid, Vpn vpn) const
 {
     if (pid != _pid)
         return invalidPfn;
-    auto it = table.find(vpn);
-    return it == table.end() ? invalidPfn : it->second.pfn;
+    const PageInfo *info = find(vpn);
+    return info ? info->pfn : invalidPfn;
 }
 
 void
@@ -102,18 +102,12 @@ AddressSpace::remapPage(Vpn vpn, Pfn new_pfn)
     return old;
 }
 
-bool
-AddressSpace::isMapped(Vpn vpn) const
-{
-    return table.count(vpn) != 0;
-}
-
 const PageInfo &
 AddressSpace::pageInfo(Vpn vpn) const
 {
-    auto it = table.find(vpn);
-    panic_if(it == table.end(), "pageInfo on unmapped vpn ", vpn);
-    return it->second;
+    const PageInfo *info = find(vpn);
+    panic_if(!info, "pageInfo on unmapped vpn ", vpn);
+    return *info;
 }
 
 std::vector<Vpn>

@@ -102,8 +102,16 @@ class AddressSpace : public mem::Translator
      */
     Pfn remapPage(Vpn vpn, Pfn new_pfn);
 
+    /** Attributes of the page holding @p vpn, or nullptr if unmapped. */
+    const PageInfo *
+    find(Vpn vpn) const
+    {
+        auto it = table.find(vpn);
+        return it == table.end() ? nullptr : &it->second;
+    }
+
     /** True if @p vpn is mapped. */
-    bool isMapped(Vpn vpn) const;
+    bool isMapped(Vpn vpn) const { return find(vpn) != nullptr; }
 
     /** Attributes of the page holding @p vpn (must be mapped). */
     const PageInfo &pageInfo(Vpn vpn) const;

@@ -15,6 +15,7 @@
 #include "check/invariants.hh"
 #include "check/ref_models.hh"
 #include "check/scenario.hh"
+#include "checkpoint/delta_backup.hh"
 #include "checkpoint/policy.hh"
 #include "core/system.hh"
 #include "faults/fault_plan.hh"
@@ -407,6 +408,69 @@ TEST(InvariantRegistry, VacuousPassAndCustomFailure)
     EXPECT_EQ(out[0].epoch, 2u);
     EXPECT_NE(out[0].describe().find("fifo-model-conforms"),
               std::string::npos);
+}
+
+TEST(InvariantRegistry, GrantOnAFreedFrameIsFlagged)
+{
+    stats::StatGroup g("t");
+    mem::PhysicalMemory phys(1 << 20, 4096);
+    mem::MemWatchdog wd(g);
+    Pfn live = phys.allocFrame();
+    Pfn doomed = phys.allocFrame();
+    wd.grant(live, 1);
+    wd.grant(doomed, 2);
+
+    check::InvariantRegistry reg;
+    check::CheckContext ctx;
+    ctx.watchdog = &wd;
+    ctx.phys = &phys;
+    std::vector<check::Violation> out;
+    EXPECT_EQ(reg.evaluate(ctx, 0, 1, 0, out), 0u);
+
+    // Plant the bug: free the frame but leave its grant standing.
+    phys.freeFrame(doomed);
+    ASSERT_EQ(reg.evaluate(ctx, 0, 1, 0, out), 1u);
+    EXPECT_EQ(out[0].id, check::InvariantId::WatchdogGrantsBacked);
+    EXPECT_NE(out[0].detail.find("freed"), std::string::npos);
+
+    // A revoked (zero) mask is no grant at all.
+    wd.revokeAll(doomed);
+    out.clear();
+    EXPECT_EQ(reg.evaluate(ctx, 0, 1, 0, out), 0u);
+}
+
+TEST(InvariantRegistry, DeltaInvariantsHoldOverTheTouchedList)
+{
+    MemoryRig rig;
+    ckpt::DeltaBackup engine(rig.cfg, *rig.context, *rig.space, rig.phys,
+                             *rig.hierarchy, rig.stats);
+    rig.space->mapRegion(pageBase, 4, os::Region::Data);
+    check::InvariantRegistry reg;
+    std::vector<check::Violation> out;
+    auto evaluate = [&] {
+        check::CheckContext ctx;
+        ctx.delta = &engine;
+        ctx.phys = &rig.phys;
+        ctx.gts = rig.context->gts();
+        return reg.evaluate(ctx, 0, 1, ctx.gts, out);
+    };
+
+    for (int request = 0; request < 3; ++request) {
+        rig.context->incrementGts();
+        engine.onRequestBegin(0);
+        // Repeated stores, several per page, some pages twice over.
+        for (int i = 0; i < 12; ++i) {
+            Addr a = pageBase + (i % 3) * 4096 + (i % 5) * 64;
+            engine.onStore(0, 1, a, 8);
+            rig.poke64(a, 100 + i);
+        }
+        EXPECT_EQ(engine.touchedSet().size(), 3u);
+        EXPECT_EQ(evaluate(), 0u) << "request " << request;
+    }
+    engine.onFailure(0);
+    EXPECT_EQ(evaluate(), 0u);
+    for (const check::Violation &v : out)
+        ADD_FAILURE() << v.describe();
 }
 
 // ---------------------------------------------------------- scenarios

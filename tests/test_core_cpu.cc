@@ -91,7 +91,7 @@ class CoreTest : public ::testing::Test
     CoreTest()
         : rig(),
           core(rig.cfg, 1, Privilege::Low, *rig.hierarchy, rig.phys,
-               *rig.space, rig.stats)
+               rig.stats)
     {
         rig.space->mapRegion(0x00400000, 8, os::Region::Code);
         rig.space->mapRegion(0x10000000, 8, os::Region::Data);
@@ -153,6 +153,80 @@ TEST_F(CoreTest, LoadReadsValueBack)
     ld.effAddr = 0x10000080;
     auto r = core.execute(1, ld);
     EXPECT_EQ(r.loadValue, 0xfeedu);
+}
+
+// The core reads and writes the frame its hierarchy translated the
+// access to, and the hierarchy translates after the checkpoint hooks
+// ran: a hook that remaps the page (as the page-remap schemes do)
+// redirects the access to the new frame.
+TEST_F(CoreTest, AccessUsesTheFrameTranslatedAfterTheHooks)
+{
+    struct RemapHooks : cpu::CheckpointHooks
+    {
+        MemoryRig *rig = nullptr;
+        Pfn fresh = invalidPfn;
+
+        Cycles
+        remap(Addr vaddr)
+        {
+            fresh = rig->phys.allocFrame();
+            rig->phys.write64(fresh, 0x80, 0x77);
+            rig->space->remapPage(vaddr / rig->cfg.pageBytes, fresh);
+            return 0;
+        }
+        Cycles onStore(Tick, Pid, Addr a, std::uint32_t) override
+        {
+            return remap(a);
+        }
+        Cycles onLoad(Tick, Pid, Addr a, std::uint32_t) override
+        {
+            return remap(a);
+        }
+    } hooks;
+    hooks.rig = &rig;
+    core.setCheckpointHooks(&hooks);
+
+    cpu::Instruction st;
+    st.op = cpu::Op::Store;
+    st.pc = 0x00400000;
+    st.effAddr = 0x10000040;
+    st.value = 0x1234;
+    EXPECT_EQ(core.execute(1, st).fault, mem::MemFault::None);
+    EXPECT_EQ(rig.phys.read64(hooks.fresh, 0x40), 0x1234u);
+
+    cpu::Instruction ld;
+    ld.op = cpu::Op::Load;
+    ld.pc = 0x00400000;
+    ld.effAddr = 0x10000080;
+    EXPECT_EQ(core.execute(1, ld).loadValue, 0x77u);
+}
+
+TEST(CoreWatchdog, DeniedAccessTouchesNoMemory)
+{
+    MemoryRig rig(testutil::smallConfig(), true);
+    rig.space->mapRegion(0x00400000, 1, os::Region::Code);
+    rig.space->mapRegion(0x10000000, 1, os::Region::Data);
+    cpu::Core core(rig.cfg, 1, Privilege::Low, *rig.hierarchy, rig.phys,
+                   rig.stats);
+    rig.poke64(0x10000040, 0xaaaa);
+    Pfn pfn = rig.space->translate(1, 0x10000000 / rig.cfg.pageBytes);
+    rig.watchdog->revokeAll(pfn);
+    std::uint64_t version = rig.phys.frameVersion(pfn);
+
+    cpu::Instruction st;
+    st.op = cpu::Op::Store;
+    st.pc = 0x00400000;
+    st.effAddr = 0x10000040;
+    st.value = 0xbbbb;
+    EXPECT_EQ(core.execute(1, st).fault, mem::MemFault::Protection);
+    EXPECT_EQ(rig.peek64(0x10000040), 0xaaaau);
+    EXPECT_EQ(rig.phys.frameVersion(pfn), version);
+
+    cpu::Instruction ld = st;
+    ld.op = cpu::Op::Load;
+    auto r = core.execute(1, ld);
+    EXPECT_EQ(r.fault, mem::MemFault::Protection);
+    EXPECT_EQ(r.loadValue, 0u);
 }
 
 TEST_F(CoreTest, HookCalledBeforeFunctionalWrite)
@@ -342,7 +416,7 @@ TEST_F(CoreTest, UnmappedStoreFaults)
 TEST_F(CoreTest, HighPrivilegeCoreEmitsNoRecords)
 {
     cpu::Core high(rig.cfg, 0, Privilege::High, *rig.hierarchy,
-                   rig.phys, *rig.space, rig.stats);
+                   rig.phys, rig.stats);
     high.setTraceSink(&sink);
     cpu::Instruction call;
     call.op = cpu::Op::Call;
@@ -385,7 +459,7 @@ TEST_F(CoreTest, ZeroEntryCamSendsEveryFill)
     SystemConfig cfg = rig.cfg;
     cfg.filterCamEntries = 0;
     cpu::Core nocam(cfg, 2, Privilege::Low, *rig.hierarchy, rig.phys,
-                    *rig.space, rig.stats);
+                    rig.stats);
     nocam.setTraceSink(&sink);
     nocam.execute(1, alu(0x00400000));
     nocam.execute(1, alu(0x00400040));

@@ -306,3 +306,59 @@ TEST_F(DeltaTest, CleanLoadIsFree)
     newRequest();
     EXPECT_EQ(engine.onLoad(0, 1, pageBase, 8), 0u);
 }
+
+TEST_F(DeltaTest, RepeatedStoresToOnePageCountOnce)
+{
+    newRequest();
+    for (int i = 0; i < 10; ++i)
+        store(pageBase + (i % 4) * 64, i);
+    EXPECT_EQ(engine.pagesTouchedThisEpoch(), 1u);
+    store(pageBase + 4096, 1);
+    store(pageBase, 2);
+    EXPECT_EQ(engine.pagesTouchedThisEpoch(), 2u);
+    EXPECT_EQ(engine.touchedSet(),
+              (std::vector<Vpn>{vpnOf(pageBase), vpnOf(pageBase + 4096)}));
+}
+
+TEST_F(DeltaTest, TouchedListEmptiedByRequestFailureAndInvalidate)
+{
+    // Each way of ending an epoch empties the list, and a page touched
+    // again afterwards joins the fresh list exactly once.
+    auto touchTwice = [&] {
+        store(pageBase, 1);
+        store(pageBase + 64, 2);
+        EXPECT_EQ(engine.pagesTouchedThisEpoch(), 1u);
+    };
+    newRequest();
+    touchTwice();
+    newRequest();
+    EXPECT_EQ(engine.pagesTouchedThisEpoch(), 0u);
+    touchTwice();
+    engine.onFailure(0);
+    EXPECT_EQ(engine.pagesTouchedThisEpoch(), 0u);
+    newRequest();
+    touchTwice();
+    engine.invalidate();
+    EXPECT_EQ(engine.pagesTouchedThisEpoch(), 0u);
+    EXPECT_TRUE(engine.touchedSet().empty());
+    touchTwice();
+}
+
+TEST_F(DeltaTest, LoadIsFreeUntilRollbackIsArmedThenRecoversLazily)
+{
+    rig.poke64(pageBase, 0x600d);
+    newRequest();
+    store(pageBase, 0xbad);
+    // Nothing armed yet: every load is free, record or not, TLB hit
+    // or not.
+    EXPECT_EQ(engine.onLoad(0, 1, pageBase, 8), 0u);
+    EXPECT_EQ(engine.onLoad(0, 1, pageBase + 4096, 8), 0u);
+    EXPECT_EQ(engine.onLoad(0, 1, 0x70000000, 8), 0u);
+    EXPECT_EQ(rig.peek64(pageBase), 0xbadu);
+
+    engine.onFailure(0);
+    EXPECT_GT(engine.onLoad(0, 1, pageBase, 8), 0u);
+    EXPECT_EQ(rig.peek64(pageBase), 0x600du);
+    // The line is recovered; a second read of it costs nothing.
+    EXPECT_EQ(engine.onLoad(0, 1, pageBase, 8), 0u);
+}

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "os/kernel.hh"
 #include "test_util.hh"
 
 using namespace indra;
@@ -59,10 +60,13 @@ TEST_F(HierarchyTest, UnmappedAccessFaults)
 {
     auto out = rig.hierarchy->load(0, 1, 0x55000000);
     EXPECT_EQ(out.fault, mem::MemFault::Unmapped);
+    EXPECT_EQ(out.pfn, invalidPfn);
     auto out2 = rig.hierarchy->store(0, 1, 0x55000000);
     EXPECT_EQ(out2.fault, mem::MemFault::Unmapped);
+    EXPECT_EQ(out2.pfn, invalidPfn);
     auto out3 = rig.hierarchy->fetch(0, 1, 0x55000000);
     EXPECT_EQ(out3.fault, mem::MemFault::Unmapped);
+    EXPECT_EQ(out3.pfn, invalidPfn);
 }
 
 TEST_F(HierarchyTest, WatchdogDeniesUngrantedFrame)
@@ -80,6 +84,60 @@ TEST_F(HierarchyTest, WatchdogDeniesUngrantedFrame)
     guarded.hierarchy->flushTlbs();
     auto denied = guarded.hierarchy->load(0, 1, 0x10000000);
     EXPECT_EQ(denied.fault, mem::MemFault::Protection);
+    // The translation succeeded, but a denied access names no frame.
+    EXPECT_EQ(denied.pfn, invalidPfn);
+    auto denied_store = guarded.hierarchy->store(0, 1, 0x10000000);
+    EXPECT_EQ(denied_store.fault, mem::MemFault::Protection);
+    EXPECT_EQ(denied_store.pfn, invalidPfn);
+}
+
+// The hierarchy translates each access once and hands the frame to
+// the core, so the frame must be the kernel's translation whichever
+// level of the hierarchy served the access.
+TEST(HierarchyTranslateOnce, OutcomeFrameIsTheKernelTranslation)
+{
+    MemoryRig rig;
+    stats::StatGroup group("translate_once");
+    os::Kernel kernel(rig.phys, rig.cfg.pageBytes, nullptr, group);
+    // A second process maps the same virtual pages to other frames.
+    Pid other = kernel.createProcess("other", 1);
+    kernel.process(other).space->mapRegion(0x10000000, 8,
+                                           os::Region::Data);
+    Pid pid = kernel.createProcess("svc", 1);
+    kernel.process(pid).space->mapRegion(0x10000000, 8, os::Region::Data);
+    mem::MemHierarchy h(rig.cfg, 1, Privilege::Low, kernel, nullptr,
+                        rig.bus, rig.dram, group);
+
+    auto frameOf = [&](Pid p, Addr a) {
+        return kernel.translate(p, a / rig.cfg.pageBytes);
+    };
+    Tick t = 0;
+    for (bool is_store : {false, true}) {
+        SCOPED_TRACE(is_store ? "store" : "load");
+        auto access = [&](Addr a) {
+            t += 1000;
+            return is_store ? h.store(t, pid, a) : h.load(t, pid, a);
+        };
+        // Loads use pages 0 and 4, stores pages 1 and 5: the second of
+        // each pair conflicts with the first in the direct-mapped L1D.
+        Addr a = 0x10000000 + (is_store ? 0x1000 : 0);
+        Addr conflict = a + 16 * 1024;
+
+        auto dram = access(a);
+        EXPECT_TRUE(dram.wentToDram);
+        EXPECT_EQ(dram.pfn, frameOf(pid, a));
+        EXPECT_NE(dram.pfn, frameOf(other, a));
+
+        auto l1 = access(a);
+        EXPECT_EQ(l1.latency, rig.cfg.l1d.hitLatency);
+        EXPECT_EQ(l1.pfn, frameOf(pid, a));
+
+        EXPECT_EQ(access(conflict).pfn, frameOf(pid, conflict));
+        auto l2 = access(a);
+        EXPECT_FALSE(l2.wentToDram);
+        EXPECT_GT(l2.latency, rig.cfg.l1d.hitLatency);
+        EXPECT_EQ(l2.pfn, frameOf(pid, a));
+    }
 }
 
 TEST_F(HierarchyTest, StoreMakesLineDirtyInL2OnEviction)

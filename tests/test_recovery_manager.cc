@@ -28,7 +28,7 @@ class RecoveryTest : public ::testing::Test
 
         core = std::make_unique<cpu::Core>(
             rig.cfg, 1, Privilege::Low, *rig.hierarchy, rig.phys,
-            *proc->space, rig.stats);
+            rig.stats);
         policy = ckpt::makePolicy(rig.cfg, *proc->context,
                                   *proc->space, rig.phys,
                                   *rig.hierarchy, rig.stats);

@@ -26,7 +26,7 @@ TEST_P(WidthSweep, WarmAluThroughputMatchesWidth)
     MemoryRig rig(cfg);
     rig.space->mapRegion(0x00400000, 4, os::Region::Code);
     cpu::Core core(cfg, 1, Privilege::Low, *rig.hierarchy, rig.phys,
-                   *rig.space, rig.stats);
+                   rig.stats);
 
     cpu::Instruction alu;
     alu.op = cpu::Op::Alu;

@@ -180,3 +180,42 @@ TEST(WatchdogDeath, IsGrantedRejectsCoreBeyond64)
     MemWatchdog wd(g);
     EXPECT_DEATH((void)wd.isGranted(1, 64), "64 cores");
 }
+
+TEST(Watchdog, RevokingTheLastCoreLeavesTheFramePrivate)
+{
+    stats::StatGroup g("t");
+    MemWatchdog wd(g);
+    wd.grant(7, 1);
+    wd.grant(7, 2);
+    wd.revoke(7, 2);
+    // Core 1 still holds a grant, so core 2 is merely the wrong core.
+    EXPECT_EQ(wd.check(2, Privilege::Low, 7),
+              WatchdogVerdict::DeniedWrongCore);
+    wd.revoke(7, 1);
+    // No core holds a grant any more: a zero mask is private, for the
+    // core that had it and for any other.
+    EXPECT_EQ(wd.check(1, Privilege::Low, 7),
+              WatchdogVerdict::DeniedPrivate);
+    EXPECT_EQ(wd.check(2, Privilege::Low, 7),
+              WatchdogVerdict::DeniedPrivate);
+    EXPECT_EQ(wd.grantTable()[7], 0u);
+}
+
+TEST(Watchdog, FramesPastEveryGrantArePrivate)
+{
+    stats::StatGroup g("t");
+    MemWatchdog wd(g);
+    wd.grant(5, 1);
+    const std::size_t table = wd.grantTable().size();
+    for (Pfn pfn : {Pfn{6}, Pfn{1} << 20, invalidPfn}) {
+        EXPECT_EQ(wd.check(1, Privilege::Low, pfn),
+                  WatchdogVerdict::DeniedPrivate)
+            << "pfn " << pfn;
+        EXPECT_FALSE(wd.isGranted(pfn, 1));
+        // Revoking where nothing was granted does not grow the table.
+        wd.revoke(pfn, 1);
+        wd.revokeAll(pfn);
+    }
+    EXPECT_EQ(wd.grantTable().size(), table);
+    EXPECT_EQ(wd.check(1, Privilege::Low, 5), WatchdogVerdict::Allowed);
+}
