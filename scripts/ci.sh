@@ -26,11 +26,9 @@
 # armed, plus the fuzzer's planted confined-rewind bug caught by
 # domain-rewind-confined and shrunk), and scripts/cluster_smoke.sh
 # (the fleet sweep with its graceful-degradation and monotone
-# recovery-tail self-checks, bit-identical across --jobs 1/8), and
-# scripts/rca_smoke.sh (the vulnerability map with replay-based
-# root-cause analysis: --jobs 1/8 bit-identity, the planted
-# backup-corruption escape caught and shrunk, and a --replay CLI
-# round trip).
+# recovery-tail self-checks, bit-identical across --jobs 1/8). The
+# vulnerability map's checks run inside ctest, as
+# bench_vuln_map_roundtrip (scripts/rca_roundtrip.sh).
 #
 # After the presets, scripts/fuzz_smoke.sh runs a fixed-seed slice of
 # the oracle fuzzer plus its planted-bug sensitivity check.
@@ -70,9 +68,6 @@ for preset in "${presets[@]}"; do
         echo "=== [$preset] cluster smoke"
         scripts/cluster_smoke.sh \
             build-ci-release/bench/bench_cluster_scale
-        echo "=== [$preset] rca smoke"
-        scripts/rca_smoke.sh \
-            build-ci-release/bench/bench_vuln_map
     fi
 done
 

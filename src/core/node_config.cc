@@ -216,8 +216,6 @@ settingsTable()
         {"rejuvenation.cooldown", whole(&J::cooldown)},
 
         // ------------------------------------------ root-cause analysis
-        {"rca.replay", flag(&C::replay)},
-        {"rca.memory_audit", flag(&C::memoryAudit)},
         {"rca.latency_slack", whole(&C::latencySlack)},
         {"rca.shrink_budget", whole(&C::shrinkBudget)},
         {"rca.max_reproducers", whole(&C::maxReproducers)},

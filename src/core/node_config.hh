@@ -17,7 +17,8 @@
  * real with a range, flag) or an enum's *FromName function. Keys are
  * SystemConfig field names ("traceFifoEntries") or dotted names
  * ("faults.plan", "domain.count", "adversary.budget",
- * "resilience.queue_bound", "rejuvenation.trigger", "rca.replay").
+ * "resilience.queue_bound", "rejuvenation.trigger",
+ * "rca.latency_slack").
  * Unknown keys, empty values and malformed or out-of-range values are
  * fatal errors naming the key.
  *

@@ -51,11 +51,13 @@ struct NodeEvent
 {
     Tick tick = 0; //!< completion tick
     /** Execution-order sequence number the storm stamped the request
-     *  with (rca's golden replay matches windows by this). */
+     *  with (probes consume seqs too). */
     std::uint64_t seq = 0;
     net::RequestStatus status = net::RequestStatus::Served;
     /** Monitor verdict for the request (None when nothing fired). */
     mon::Violation violation = mon::Violation::None;
+    /** Failure-verdict tick (0 when the request never failed). */
+    Tick failTick = 0;
     bool legit = false;
     bool probe = false;
     /** A proactive policy fired a restore before this request ran. */

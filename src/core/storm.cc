@@ -561,6 +561,7 @@ NodeHandle::Impl::step()
         ev.seq = out.seq;
         ev.status = out.status;
         ev.violation = out.violation;
+        ev.failTick = out.failTick;
         ev.legit = q.legit;
         ev.probe = q.probe;
         ev.proactiveRestore = proactive_fired;

@@ -1,9 +1,18 @@
 /**
  * @file
- * The rca campaign runner: one faulted run, one golden replay, and
- * the per-window comparison that turns "this cell failed" into "this
- * component's fault at this site became this failure, detected by
- * these detectors at these latencies".
+ * The rca campaign runner: one request-window driver, run twice —
+ * faulted, and on a fault-free golden twin (RepTFD-style replay
+ * detection) — and the per-window comparison that turns "this cell
+ * failed" into "this component's fault at this site became this
+ * failure, detected by these detectors at these latencies".
+ *
+ * Both runs step the same core::NodeHandle (guard admission, probes
+ * and proactive rejuvenation included), one request window at a
+ * time, so a window differs only when an injection made it differ.
+ * The golden window's cycles are the replay detector's detection
+ * latency for a divergence found there, and the final memory images
+ * of the two runs are diffed to catch silent corruption no window
+ * ever showed.
  *
  * A campaign cell is a check::Scenario (pure value of its seed), so
  * every result here is a pure function of (scenario, RcaConfig) and
@@ -36,25 +45,13 @@ struct CampaignResult
     std::uint64_t injectedTotal = 0;
     /** Final faulted memory != final golden memory. */
     bool memoryDiverged = false;
-    /** Requests executed. */
+    /** Requests executed (one per window). */
     std::uint64_t requests = 0;
-    /** Golden replay ran (RcaConfig::replay, and a twin was built). */
-    bool replayed = false;
 };
 
 /**
- * @p sc's request schedule as explicit 0-based-seq requests — the
- * numbering the storm facade stamps, so a processRequest-driven
- * faulted run and a NodeHandle-driven golden replay execute
- * byte-identical instruction streams.
- */
-std::vector<net::ServiceRequest>
-scenarioRequests(const check::Scenario &sc);
-
-/**
- * Run the campaign cell: faulted run, golden replay (when
- * @p rcfg.replay), window comparison, site attribution, and the
- * final-state memory audit (when @p rcfg.memoryAudit).
+ * Run the campaign cell: faulted run, golden twin, window
+ * comparison, site attribution, and the final-state memory audit.
  */
 CampaignResult runCampaign(const check::Scenario &sc,
                            const RcaConfig &rcfg);

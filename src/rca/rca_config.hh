@@ -23,21 +23,6 @@ namespace indra::rca
 struct RcaConfig
 {
     /**
-     * Run the replay detector: re-execute the campaign's request
-     * schedule on a fault-free golden twin (via core::NodeHandle) and
-     * flag every window whose outcome diverges. Off, only the faulted
-     * run executes and no failures are attributed.
-     */
-    bool replay = true;
-
-    /**
-     * Compare the final service memory of the faulted run against the
-     * golden twin's (check::RefMemory image diff), catching silent
-     * state corruption no window-level signal ever showed.
-     */
-    bool memoryAudit = true;
-
-    /**
      * Cycles of per-window timing skew (faulted vs golden) tolerated
      * before a window counts as diverged. Filters the few-cycle FIFO
      * occupancy jitter benign transport faults cause, while injected
@@ -61,7 +46,7 @@ struct RcaConfig
     std::uint64_t maxReproducers = 0;
 };
 
-/** Render as "replay=1 memory_audit=1 ..." (for bench headers). */
+/** Render as "latency_slack=2000 ..." (for bench headers). */
 std::string describeRcaConfig(const RcaConfig &cfg);
 
 } // namespace indra::rca

@@ -37,11 +37,11 @@ TEST(ConfigReader, BooleanSettings)
     EXPECT_TRUE(node.system.eagerRollback);
     applyNodeSetting(node, "sharedResurrector", "on");
     EXPECT_TRUE(node.system.sharedResurrector);
-    // Every flag key takes every spelling, rca's included.
+    // Every flag key takes every spelling.
     for (const char *yes : {"1", "true", "yes", "on"}) {
-        applyNodeSetting(node, "rca.replay", "0");
-        applyNodeSetting(node, "rca.replay", yes);
-        EXPECT_TRUE(node.rca.replay) << yes;
+        applyNodeSetting(node, "eagerRollback", "0");
+        applyNodeSetting(node, "eagerRollback", yes);
+        EXPECT_TRUE(node.system.eagerRollback) << yes;
     }
     for (const char *no : {"0", "false", "no", "off"}) {
         applyNodeSetting(node, "asymmetricMode", "1");
@@ -129,7 +129,7 @@ TEST(ConfigReaderDeath, TypoedConfigLikeKeyIsFatal)
 TEST(ConfigReader, KnownKeysNonEmptyAndSorted)
 {
     auto keys = core::nodeSettingKeys();
-    EXPECT_EQ(keys.size(), 68u);
+    EXPECT_EQ(keys.size(), 66u);
     for (std::size_t i = 1; i < keys.size(); ++i)
         EXPECT_LT(keys[i - 1], keys[i]);
 }
@@ -205,11 +205,11 @@ TEST(NodeSettingsDeathTest, FormerlySilentInputsAreNamedFatals)
                  "setting 'rca.latency_slack': '-1'");
     EXPECT_DEATH(applyNodeSetting(node, "adversary.budget", "-5"),
                  "setting 'adversary.budget': '-5'");
-    // Both flag families accept the same spellings.
+    // Every flag key accepts the same spellings.
     applyNodeSetting(node, "monitorEnabled", "yes");
-    applyNodeSetting(node, "rca.replay", "yes");
+    applyNodeSetting(node, "sharedResurrector", "yes");
     EXPECT_TRUE(node.system.monitorEnabled);
-    EXPECT_TRUE(node.rca.replay);
+    EXPECT_TRUE(node.system.sharedResurrector);
 }
 
 TEST(NodeSettingsDeathTest, EachKeyKeepsItsBound)

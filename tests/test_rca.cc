@@ -1,8 +1,8 @@
 /** @file Tests for the root-cause-analysis subsystem (src/rca): the
  * injector's append-only site log vs its per-kind counters,
  * attribution determinism across parallel job counts, planted-fault
- * site recovery, replay-detector-vs-monitor latency ordering, the
- * golden twin's equivalence with the direct request path, reproducer
+ * site recovery, replay-detector-vs-monitor latency ordering, clean
+ * fault-free campaigns (guarded scenarios included), reproducer
  * JSON round trips, shrunk reproducers replaying to the same verdict,
  * and the rca.* dotted-key routing (unknown keys fatal, naming the
  * key). */
@@ -20,7 +20,6 @@
 #include "rca/attribution.hh"
 #include "rca/campaign.hh"
 #include "rca/rca_config.hh"
-#include "rca/replay.hh"
 #include "rca/reproducer.hh"
 
 using namespace indra;
@@ -95,8 +94,15 @@ TEST(RcaSiteLog, MatchesInjectedCounters)
     profile.instrPerRequest = sc.instrPerRequest;
     std::size_t slot = sys.deployService(profile);
 
-    for (const net::ServiceRequest &req : rca::scenarioRequests(sc))
-        sys.processRequest(slot, req);
+    std::uint64_t seq = 0;
+    for (const check::ScenarioStep &step : sc.steps) {
+        for (std::uint32_t r = 0; r < step.repeat; ++r) {
+            net::ServiceRequest req;
+            req.seq = seq++;
+            req.attack = step.attack;
+            sys.processRequest(slot, req);
+        }
+    }
 
     const faults::FaultInjector *inj = sys.faultInjector();
     ASSERT_NE(inj, nullptr);
@@ -162,20 +168,67 @@ TEST(RcaCampaign, AttributionDeterministicAcrossJobs)
         EXPECT_EQ(serial[i], parallel[i]) << "cell " << i;
 }
 
-// With no faults armed there is no site log, no divergence, and no
-// memory skew: the NodeHandle-driven golden twin reproduces the
-// processRequest-driven run exactly.
-TEST(RcaCampaign, FaultFreeCampaignIsClean)
+/**
+ * Expect a fault-free campaign over @p sc to be clean: no site log,
+ * no divergence, no memory skew, and one window per scheduled request
+ * carrying its step's attack.
+ * @return windows after which the guard ran probes
+ */
+std::size_t
+expectCleanFaultFree(Scenario sc)
 {
-    Scenario sc = campaignScenario(faults::FaultKind::DeltaFlip, 0.5, 3);
     sc.faults.clear();
     CampaignResult res = rca::runCampaign(sc, RcaConfig{});
-    EXPECT_TRUE(res.replayed);
     EXPECT_EQ(res.sites.size(), 0u);
     EXPECT_EQ(res.injectedTotal, 0u);
     EXPECT_TRUE(res.failures.empty()) << failureDigest(res);
     EXPECT_FALSE(res.memoryDiverged);
     EXPECT_EQ(res.windows.size(), sc.requestCount());
+    if (res.windows.size() != sc.requestCount())
+        return 0;
+
+    std::size_t i = 0;
+    for (const check::ScenarioStep &step : sc.steps)
+        for (std::uint32_t r = 0; r < step.repeat; ++r, ++i)
+            EXPECT_EQ(res.windows[i].attack, step.attack)
+                << "window " << i;
+
+    // A window records its request's own event, never a trailing
+    // guard probe's: probes run after the request and consume seqs,
+    // so a seq gap to the next window must coincide with a gap in
+    // core time. Recording the last drained event instead would put
+    // the seq gaps on windows that end exactly where the next starts.
+    std::size_t probed = 0;
+    for (std::size_t k = 0; k + 1 < res.windows.size(); ++k) {
+        const rca::WindowRecord &w = res.windows[k];
+        const rca::WindowRecord &next = res.windows[k + 1];
+        bool probesRan = next.seq - w.seq > 1;
+        EXPECT_EQ(probesRan, w.endTick < next.startTick)
+            << "window " << k << " seq " << w.seq;
+        probed += probesRan ? 1 : 0;
+    }
+    return probed;
+}
+
+// With no faults armed there is no site log, no divergence, and no
+// memory skew: the faulted run and the golden twin step the same
+// NodeHandle window driver, guard admission and probes included.
+TEST(RcaCampaign, FaultFreeCampaignIsClean)
+{
+    expectCleanFaultFree(
+        campaignScenario(faults::FaultKind::DeltaFlip, 0.5, 3));
+
+    // Guarded fuzz scenarios: 7 (guard), 21 (guard, domain rewind
+    // over 2 domains) and 26 (guard, suspicion-triggered
+    // rejuvenation).
+    std::size_t probed = 0;
+    for (std::uint64_t seed : {7u, 21u, 26u}) {
+        Scenario sc = check::makeScenario(seed);
+        ASSERT_TRUE(sc.guardArmed) << "seed " << seed;
+        probed += expectCleanFaultFree(sc);
+    }
+    // The probe check above must not be vacuous.
+    EXPECT_GT(probed, 0u);
 }
 
 // A planted always-on fault is recovered at exactly its site: every
@@ -281,10 +334,6 @@ TEST(RcaAttribution, FormatSiteId)
 TEST(RcaConfigTest, DottedKeysRouted)
 {
     core::NodeConfig node;
-    core::applyNodeSetting(node, "rca.replay", "off");
-    EXPECT_FALSE(node.rca.replay);
-    core::applyNodeSetting(node, "rca.memory_audit", "0");
-    EXPECT_FALSE(node.rca.memoryAudit);
     core::applyNodeSetting(node, "rca.latency_slack", "4321");
     EXPECT_EQ(node.rca.latencySlack, 4321u);
     core::applyNodeSettings(
@@ -293,8 +342,8 @@ TEST(RcaConfigTest, DottedKeysRouted)
     EXPECT_EQ(node.rca.maxReproducers, 3u);
 
     EXPECT_EQ(rca::describeRcaConfig(node.rca),
-              "replay=0 memory_audit=0 latency_slack=4321 "
-              "shrink_budget=17 max_reproducers=3");
+              "latency_slack=4321 shrink_budget=17 "
+              "max_reproducers=3");
 }
 
 TEST(RcaConfigDeathTest, UnknownKeyFatal)
@@ -307,6 +356,11 @@ TEST(RcaConfigDeathTest, UnknownKeyFatal)
         "rca.latency_slack");
     EXPECT_DEATH(core::applyNodeSetting(node, "rca.nope", "1"),
                  "rca.nope");
+    // The golden twin and the memory audit always run: no knob.
+    EXPECT_DEATH(core::applyNodeSetting(node, "rca.replay", "1"),
+                 "rca.replay");
+    EXPECT_DEATH(core::applyNodeSetting(node, "rca.memory_audit", "1"),
+                 "rca.memory_audit");
 }
 
 } // anonymous namespace
