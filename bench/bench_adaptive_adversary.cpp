@@ -214,15 +214,8 @@ main(int argc, char **argv)
                &ablate_spec);
     auto sweep = cli.parse(argc, argv);
 
-    std::vector<std::string> ablations;
-    {
-        std::stringstream ss(ablate_spec);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (!tok.empty())
-                ablations.push_back(tok);
-        }
-    }
+    const std::vector<std::string> ablations =
+        benchutil::ablationList(ablate_spec);
 
     const std::uint64_t legit_requests = smoke ? 60 : 140;
 

@@ -180,15 +180,8 @@ main(int argc, char **argv)
     cli.clusterPreset(&copts);
     auto sweep = cli.parse(argc, argv);
 
-    std::vector<std::string> ablations;
-    {
-        std::stringstream ss(ablate_spec);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            if (!tok.empty())
-                ablations.push_back(tok);
-        }
-    }
+    const std::vector<std::string> ablations =
+        benchutil::ablationList(ablate_spec);
 
     std::vector<std::uint32_t> nodeAxis = copts.nodeCounts(
         smoke ? std::vector<std::uint32_t>{4}

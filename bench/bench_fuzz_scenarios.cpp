@@ -48,13 +48,6 @@ using check::ShrinkResult;
 namespace
 {
 
-std::uint64_t
-parseU64(const std::string &text, std::uint64_t dflt)
-{
-    return text.empty() ? dflt
-                        : std::strtoull(text.c_str(), nullptr, 10);
-}
-
 /** One deterministic, grep-able line per scenario run. */
 std::string
 verdictLine(const Scenario &sc, const ScenarioVerdict &v)
@@ -113,6 +106,11 @@ main(int argc, char **argv)
                "reproducer output path (default fuzz_reproducer.json)",
                &outPath);
     auto sweep = cli.parse(argc, argv);
+    const std::uint64_t seedBase =
+        seedBaseOpt.empty() ? 1 : parseUnsigned("--seed-base", seedBaseOpt);
+    const std::uint64_t nSeeds = seedsOpt.empty()
+        ? (smoke ? 12 : 200)
+        : parseUnsigned("--seeds", seedsOpt, 1);
 
     if (!INDRA_CHECK_ENABLED) {
         std::cout << "bench_fuzz_scenarios: oracle hooks compiled out "
@@ -120,9 +118,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::uint64_t seedBase = parseU64(seedBaseOpt, 1);
-    const std::uint64_t nSeeds =
-        parseU64(seedsOpt, smoke ? 12 : 200);
     const std::uint64_t shrinkBudget = smoke ? 80 : 200;
     if (outPath.empty())
         outPath = "fuzz_reproducer.json";

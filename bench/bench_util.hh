@@ -13,6 +13,7 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -51,18 +52,40 @@ struct ObsOptions
 };
 
 /**
- * Build the bench's ParallelSweep from its command line: honors
- * "--jobs N" / "jobs=N" / INDRA_JOBS (default hardware_concurrency;
- * --jobs 1 reproduces the historical serial loop exactly). Cells run
- * shared-nothing — each builds its own IndraSystem — and results come
- * back in cell order, so the printed tables are bit-identical for any
- * job count.
+ * Split a comma-separated flag value. An empty item ("1,,2", a
+ * trailing comma, or an empty value) is fatal, naming @p flag.
  */
-inline harness::ParallelSweep
-sweepFromCli(int argc, char **argv)
+inline std::vector<std::string>
+splitList(const std::string &flag, const std::string &spec)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    return harness::ParallelSweep(parseJobs(args));
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    for (;;) {
+        std::size_t comma = spec.find(',', start);
+        out.push_back(spec.substr(start, comma - start));
+        fatal_if(out.back().empty(), flag,
+                 " wants a comma-separated list, got '", spec, "'");
+        if (comma == std::string::npos)
+            return out;
+        start = comma + 1;
+    }
+}
+
+/**
+ * The --ablate K=V[,K=V...] items for core::applyNodeSettings (empty
+ * items are skipped; the settings table rejects malformed ones).
+ */
+inline std::vector<std::string>
+ablationList(const std::string &spec)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(spec);
+    std::string tok;
+    while (std::getline(ss, tok, ',')) {
+        if (!tok.empty())
+            out.push_back(tok);
+    }
+    return out;
 }
 
 /**
@@ -85,17 +108,10 @@ struct ClusterOptions
         if (nodesSpec.empty())
             return defaults;
         std::vector<std::uint32_t> out;
-        for (const std::string &tok : splitList(nodesSpec, "--nodes")) {
-            unsigned long v = 0;
-            std::size_t used = 0;
-            try {
-                v = std::stoul(tok, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            fatal_if(used != tok.size() || v == 0,
-                     "--nodes wants positive integers, got '", tok, "'");
-            out.push_back(static_cast<std::uint32_t>(v));
+        for (const std::string &tok : splitList("--nodes", nodesSpec)) {
+            out.push_back(static_cast<std::uint32_t>(parseUnsigned(
+                "--nodes", tok, 1,
+                std::numeric_limits<std::uint32_t>::max())));
         }
         return out;
     }
@@ -107,12 +123,8 @@ struct ClusterOptions
         if (ratioSpec.empty())
             return defaults;
         std::vector<double> out;
-        for (const std::string &tok : splitList(ratioSpec, "--ratio")) {
-            double v = parseDouble(tok, "--ratio");
-            fatal_if(v <= 0.0, "--ratio wants positive ratios, got '",
-                     tok, "'");
-            out.push_back(v);
-        }
+        for (const std::string &tok : splitList("--ratio", ratioSpec))
+            out.push_back(parseReal("--ratio", tok, 0.0, maxReal, true));
         return out;
     }
 
@@ -120,60 +132,21 @@ struct ClusterOptions
     double
     zipfTheta(double fallback) const
     {
-        if (zipfSpec.empty())
-            return fallback;
-        double v = parseDouble(zipfSpec, "--zipf");
-        fatal_if(v < 0.0, "--zipf wants a skew >= 0, got '", zipfSpec,
-                 "'");
-        return v;
+        return zipfSpec.empty()
+            ? fallback
+            : parseReal("--zipf", zipfSpec, 0.0, maxReal);
     }
 
     /** Parse "--users 1000000"; @p fallback when absent. */
     std::uint64_t
     users(std::uint64_t fallback) const
     {
-        if (usersSpec.empty())
-            return fallback;
-        unsigned long long v = 0;
-        std::size_t used = 0;
-        try {
-            v = std::stoull(usersSpec, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        fatal_if(used != usersSpec.size() || v == 0,
-                 "--users wants a positive integer, got '", usersSpec,
-                 "'");
-        return v;
+        return usersSpec.empty() ? fallback
+                                 : parseUnsigned("--users", usersSpec, 1);
     }
 
   private:
-    static std::vector<std::string>
-    splitList(const std::string &spec, const char *flag)
-    {
-        std::vector<std::string> out;
-        std::string tok;
-        std::istringstream is(spec);
-        while (std::getline(is, tok, ','))
-            out.push_back(tok);
-        fatal_if(out.empty(), flag, " wants a comma-separated list");
-        return out;
-    }
-
-    static double
-    parseDouble(const std::string &tok, const char *flag)
-    {
-        double v = 0.0;
-        std::size_t used = 0;
-        try {
-            v = std::stod(tok, &used);
-        } catch (const std::exception &) {
-            used = 0;
-        }
-        fatal_if(used != tok.size(), flag, " wants numbers, got '", tok,
-                 "'");
-        return v;
-    }
+    static constexpr double maxReal = std::numeric_limits<double>::max();
 };
 
 /**

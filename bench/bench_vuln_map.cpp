@@ -64,25 +64,6 @@ using rca::Reproducer;
 namespace
 {
 
-std::uint64_t
-parseU64(const std::string &text, std::uint64_t dflt)
-{
-    return text.empty() ? dflt
-                        : std::strtoull(text.c_str(), nullptr, 10);
-}
-
-std::vector<std::string>
-splitList(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(spec);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
 /**
  * The campaign scenario of one (kind, rate, seed) cell: a short
  * attack-heavy schedule against the scheme the kind targets, with
@@ -251,6 +232,19 @@ main(int argc, char **argv)
                "campaign runner)", &ablateSpec);
     auto sweep = cli.parse(argc, argv);
 
+    // Numeric flags die on a typo before anything runs.
+    const std::uint64_t seedBase =
+        seedBaseOpt.empty() ? 1 : parseUnsigned("--seed-base", seedBaseOpt);
+    const std::uint64_t nSeeds = seedsOpt.empty()
+        ? (smoke ? 50 : 20)
+        : parseUnsigned("--seeds", seedsOpt, 1);
+    std::vector<double> rates;
+    for (const std::string &tok : benchutil::splitList(
+             "--rates",
+             ratesOpt.empty() ? (smoke ? "0.5" : "0.1,0.5,1.0")
+                              : ratesOpt))
+        rates.push_back(parseReal("--rates", tok, 0.0, 1.0));
+
     if (!reproDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(reproDir, ec);
@@ -267,7 +261,7 @@ main(int argc, char **argv)
         node.rca.shrinkBudget = 24;
         node.rca.maxReproducers = 6;
     }
-    core::applyNodeSettings(node, splitList(ablateSpec));
+    core::applyNodeSettings(node, benchutil::ablationList(ablateSpec));
     RcaConfig rcfg = node.rca;
 
     // ------------------------------------------------------- replay
@@ -291,8 +285,7 @@ main(int argc, char **argv)
 
     // ------------------------------------------------ plant-escape
     if (plantEscape) {
-        std::uint64_t seed = parseU64(seedBaseOpt, 1);
-        Scenario sc = plantEscapeScenario(seed);
+        Scenario sc = plantEscapeScenario(seedBase);
         CampaignResult res = rca::runCampaign(sc, rcfg);
         std::uint64_t escapes = 0;
         for (const Failure &f : res.failures)
@@ -329,16 +322,6 @@ main(int argc, char **argv)
     }
 
     // --------------------------------------------------- the sweep
-    const std::uint64_t seedBase = parseU64(seedBaseOpt, 1);
-    const std::uint64_t nSeeds =
-        parseU64(seedsOpt, smoke ? 50 : 20);
-    std::vector<double> rates;
-    for (const std::string &tok :
-         splitList(ratesOpt.empty()
-                       ? (smoke ? "0.5" : "0.1,0.5,1.0")
-                       : ratesOpt))
-        rates.push_back(std::strtod(tok.c_str(), nullptr));
-
     const auto &kinds = faults::allFaultKinds();
     const std::size_t nCells = kinds.size() * rates.size() * nSeeds;
 

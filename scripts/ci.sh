@@ -19,16 +19,11 @@
 # The ci-release leg additionally runs scripts/perf_gate.sh (the
 # canonical bench_perf_kernel sweep, exported as BENCH_perf.json and
 # judged against bench/perf_baseline.json; >15% ops/sec regression on
-# any workload fails the pipeline), scripts/adversary_smoke.sh
-# (the survivability matrix: --jobs 1/8 bit-identity of the closed
-# feedback loop plus a caught re-infection), scripts/domain_smoke.sh
-# (confined rewind vs full rejuvenation with the bench self-checks
-# armed, plus the fuzzer's planted confined-rewind bug caught by
-# domain-rewind-confined and shrunk), and scripts/cluster_smoke.sh
-# (the fleet sweep with its graceful-degradation and monotone
-# recovery-tail self-checks, bit-identical across --jobs 1/8). The
-# vulnerability map's checks run inside ctest, as
-# bench_vuln_map_roundtrip (scripts/rca_roundtrip.sh).
+# any workload fails the pipeline). The --jobs 1/8 bit-identity of
+# the adversary, domain-rewind and cluster sweeps runs inside ctest
+# (the *_jobs_identity tests, label determinism), as do the
+# vulnerability map's checks (bench_vuln_map_roundtrip,
+# scripts/rca_roundtrip.sh).
 #
 # After the presets, scripts/fuzz_smoke.sh runs a fixed-seed slice of
 # the oracle fuzzer plus its planted-bug sensitivity check.
@@ -59,15 +54,6 @@ for preset in "${presets[@]}"; do
         # ops/sec regression against bench/perf_baseline.json.
         echo "=== [$preset] perf gate"
         scripts/perf_gate.sh --build build-ci-release
-        echo "=== [$preset] adversary smoke"
-        scripts/adversary_smoke.sh \
-            build-ci-release/bench/bench_adaptive_adversary
-        echo "=== [$preset] domain smoke"
-        scripts/domain_smoke.sh \
-            build-ci-release/bench/bench_domain_rewind
-        echo "=== [$preset] cluster smoke"
-        scripts/cluster_smoke.sh \
-            build-ci-release/bench/bench_cluster_scale
     fi
 done
 

@@ -12,47 +12,6 @@
 namespace indra::check
 {
 
-namespace
-{
-
-/** The engines serving one pid, resolved from the slot table. */
-struct PidRefs
-{
-    ckpt::CheckpointPolicy *policy = nullptr;
-    ckpt::MacroCheckpoint *macro = nullptr;
-    resilience::ServiceGuard *guard = nullptr;
-    CoreId coreId = 0;
-};
-
-PidRefs
-resolve(core::IndraSystem &sys, Pid pid)
-{
-    PidRefs refs;
-    for (std::size_t i = 0; i < sys.serviceCount(); ++i) {
-        core::ServiceSlot &s = sys.slot(i);
-        if (s.pid == pid) {
-            refs.policy = s.policy.get();
-            refs.macro = s.macro.get();
-            refs.guard = s.guard.get();
-            refs.coreId = s.coreId;
-            return refs;
-        }
-        for (const auto &co : s.coServices) {
-            if (co->pid == pid) {
-                refs.policy = co->policy.get();
-                refs.macro = co->macro.get();
-                // Co-services share the host slot's front door.
-                refs.guard = s.guard.get();
-                refs.coreId = s.coreId;
-                return refs;
-            }
-        }
-    }
-    return refs;
-}
-
-} // anonymous namespace
-
 SystemChecker::SystemChecker(core::IndraSystem &sys) : sys(sys)
 {
 }
@@ -80,11 +39,13 @@ SystemChecker::capture(RefMemory &into, Pid pid)
 CheckContext
 SystemChecker::contextFor(Pid pid)
 {
-    PidRefs refs = resolve(sys, pid);
+    core::ServiceLookup found = sys.findService(pid);
     const os::Process &proc = sys.kernel().process(pid);
     CheckContext ctx;
-    ctx.delta = dynamic_cast<const ckpt::DeltaBackup *>(refs.policy);
-    ctx.guard = refs.guard;
+    ctx.delta = dynamic_cast<const ckpt::DeltaBackup *>(
+        found.service->policy.get());
+    // Co-located services share the host slot's front door.
+    ctx.guard = found.slot->guard.get();
     ctx.watchdog = sys.watchdog();
     ctx.phys = &sys.physMem();
     ctx.space = proc.space.get();
@@ -95,13 +56,9 @@ SystemChecker::contextFor(Pid pid)
 std::uint64_t
 SystemChecker::corruptionCount(Pid pid)
 {
-    PidRefs refs = resolve(sys, pid);
-    std::uint64_t n = 0;
-    if (refs.policy)
-        n += refs.policy->corruptionDetected();
-    if (refs.macro)
-        n += refs.macro->corruptionDetected();
-    return n;
+    const core::Service &svc = *sys.findService(pid).service;
+    return svc.policy->corruptionDetected() +
+           svc.macro->corruptionDetected();
 }
 
 void
@@ -187,9 +144,8 @@ SystemChecker::compareDomainRewind(ServiceShadow &shadow, Tick tick,
                                    Pid pid)
 {
     ++nCompares;
-    PidRefs refs = resolve(sys, pid);
-    const auto *engine =
-        dynamic_cast<const ckpt::DomainRewindEngine *>(refs.policy);
+    const auto *engine = dynamic_cast<const ckpt::DomainRewindEngine *>(
+        sys.findService(pid).service->policy.get());
     if (!engine)
         return;
     const os::Process &proc = sys.kernel().process(pid);

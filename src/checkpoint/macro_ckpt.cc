@@ -35,22 +35,25 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
     // recaptured every interval, so reusing each page's vector avoids
     // a page-sized allocation + copy per page per capture on the
     // memcpy-bound backup path.
-    imageSums.clear();
-    imageLiveSums.clear();
+    ++captureStamp;
+    std::size_t mapped = 0;
     Cycles cost = 0;
     for (Vpn vpn : space.mappedPages()) {
         const os::PageInfo &info = space.pageInfo(vpn);
-        auto &bytes = image[vpn];
-        phys.snapshotFrameInto(info.pfn, bytes);
+        ImagePage &page = image[vpn];
+        phys.snapshotFrameInto(info.pfn, page.bytes);
         std::uint64_t ver = phys.frameVersion(info.pfn);
         PageSeal &seal = sealCache[vpn];
         if (seal.pfn != info.pfn || seal.version != ver) {
             seal.pfn = info.pfn;
             seal.version = ver;
-            seal.sum = faults::checksum32(bytes.data(), bytes.size());
+            seal.sum = faults::checksum32(page.bytes.data(),
+                                          page.bytes.size());
         }
-        imageSums[vpn] = seal.sum;
-        imageLiveSums[vpn] = seal.sum;
+        page.sum = seal.sum;
+        page.liveSum = seal.sum;
+        page.stamp = captureStamp;
+        ++mapped;
         // Software copy of a full page through the memory system.
         for (std::uint32_t off = 0; off < config.pageBytes;
              off += config.backupLineBytes) {
@@ -60,9 +63,9 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
     }
     // Pages unmapped since the previous capture are no longer in the
     // working set: drop their retained buffers.
-    if (image.size() != imageSums.size()) {
+    if (image.size() != mapped) {
         for (auto it = image.begin(); it != image.end();) {
-            if (imageSums.find(it->first) == imageSums.end())
+            if (it->second.stamp != captureStamp)
                 it = image.erase(it);
             else
                 ++it;
@@ -84,14 +87,15 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
         // not depend on hash-map iteration order.
         std::vector<Vpn> vpns;
         vpns.reserve(image.size());
-        for (const auto &[vpn, bytes] : image)
+        for (const auto &[vpn, page] : image)
             vpns.push_back(vpn);
         std::sort(vpns.begin(), vpns.end());
         if (injector->fire(faults::FaultKind::MacroCorrupt)) {
             Vpn victim = vpns[injector->pick(
                 faults::FaultKind::MacroCorrupt,
                 static_cast<std::uint32_t>(vpns.size()))];
-            auto &bytes = image[victim];
+            ImagePage &page = image[victim];
+            std::vector<std::uint8_t> &bytes = page.bytes;
             std::uint32_t bit = injector->pick(
                 faults::FaultKind::MacroCorrupt,
                 static_cast<std::uint32_t>(bytes.size() * 8));
@@ -100,16 +104,13 @@ MacroCheckpoint::capture(Tick tick, os::ProcessContext &ctx,
             // sum so the cached verify sees exactly the damage a full
             // re-hash would (FNV-1a maps a one-bit difference to a
             // different sum unconditionally).
-            imageLiveSums[victim] =
-                faults::checksum32(bytes.data(), bytes.size());
+            page.liveSum = faults::checksum32(bytes.data(), bytes.size());
         }
         if (injector->fire(faults::FaultKind::MacroTruncate)) {
             Vpn victim = vpns[injector->pick(
                 faults::FaultKind::MacroTruncate,
                 static_cast<std::uint32_t>(vpns.size()))];
             image.erase(victim);
-            imageSums.erase(victim);
-            imageLiveSums.erase(victim);
         }
     }
     return cost;
@@ -121,11 +122,8 @@ MacroCheckpoint::verifyImage(Tick tick)
     std::uint64_t bad = 0;
     if (image.size() != expectedPages)
         ++bad;
-    for (const auto &[vpn, bytes] : image) {
-        auto it = imageSums.find(vpn);
-        auto live = imageLiveSums.find(vpn);
-        if (it == imageSums.end() || live == imageLiveSums.end() ||
-            live->second != it->second)
+    for (const auto &[vpn, page] : image) {
+        if (page.liveSum != page.sum)
             ++bad;
     }
     if (bad) {
@@ -156,19 +154,19 @@ MacroCheckpoint::restore(Tick tick, os::ProcessContext &ctx,
     // reclaimed before the memory image is written back.
     res.restoreTo(resourceSnap, space);
 
-    for (const auto &[vpn, bytes] : image) {
+    for (const auto &[vpn, page] : image) {
         if (!space.isMapped(vpn))
             continue;  // page no longer exists (should not happen)
         const os::PageInfo &info = space.pageInfo(vpn);
-        phys.write(info.pfn, 0, bytes.data(),
-                   static_cast<std::uint32_t>(bytes.size()));
+        phys.write(info.pfn, 0, page.bytes.data(),
+                   static_cast<std::uint32_t>(page.bytes.size()));
         // The frame now holds exactly the sealed image bytes (the
         // image verified, so its live sum equals the seal), which
         // means the page's checksum at its new write version is
         // already known: refresh the memo so the next capture does
         // not re-hash pages only a rollback touched.
         sealCache[vpn] = {info.pfn, phys.frameVersion(info.pfn),
-                          imageSums.at(vpn)};
+                          page.sum};
         for (std::uint32_t off = 0; off < config.pageBytes;
              off += config.backupLineBytes) {
             cost += memsys.lineTransfer(
@@ -190,8 +188,6 @@ MacroCheckpoint::discard()
 {
     captured = false;
     image.clear();
-    imageSums.clear();
-    imageLiveSums.clear();
     expectedPages = 0;
 }
 

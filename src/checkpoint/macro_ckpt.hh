@@ -129,16 +129,24 @@ class MacroCheckpoint
     std::uint32_t traceSource = 0;
 
     bool captured = false;
-    std::unordered_map<Vpn, std::vector<std::uint8_t>> image;
-    std::unordered_map<Vpn, std::uint32_t> imageSums;
-    /**
-     * FNV checksum of each image page's *current* bytes. Image pages
-     * are only written at capture time (snapshot, then any injected
-     * corruption, which refreshes this cache), so verifyImage can
-     * compare these against the sealed imageSums without re-hashing
-     * megabytes of page data on every restore attempt.
-     */
-    std::unordered_map<Vpn, std::uint32_t> imageLiveSums;
+    /** One image page: its bytes and their checksums. */
+    struct ImagePage
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint32_t sum = 0;  //!< sealed at capture
+        /**
+         * FNV checksum of the page's *current* bytes. Image pages are
+         * only written at capture time (snapshot, then any injected
+         * corruption, which refreshes this), so verifyImage compares
+         * it against the seal without re-hashing megabytes of page
+         * data on every restore attempt.
+         */
+        std::uint32_t liveSum = 0;
+        /** The capture that last found the page mapped. */
+        std::uint64_t stamp = 0;
+    };
+    std::unordered_map<Vpn, ImagePage> image;
+    std::uint64_t captureStamp = 0;
     /** Memoized seal of one page: frame identity plus its checksum. */
     struct PageSeal
     {

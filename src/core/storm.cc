@@ -180,7 +180,6 @@ struct NodeHandle::Impl
     IndraSystem &sys;
     std::size_t slotIdx;
     resilience::StormPlan plan;
-    IndraSystem::ServiceRefs refs;
     ServiceSlot &s;
     resilience::ServiceGuard *guard;
 
@@ -218,7 +217,7 @@ struct NodeHandle::Impl
 NodeHandle::Impl::Impl(IndraSystem &system, std::size_t slot_idx,
                        const resilience::StormPlan &storm_plan)
     : sys(system), slotIdx(slot_idx), plan(storm_plan),
-      refs(sys.refsForMain(slot_idx)), s(*refs.slot),
+      s(sys.slot(slot_idx)),
       guard(s.guard.get()),
       legitRng(plan.seed, 0x6c65676974ULL),  // "legit"
       attackRng(plan.seed, 0x6174746bULL),   // "attk"
@@ -475,8 +474,8 @@ NodeHandle::Impl::step()
     s.core->stallUntil(q.tick);
     net::ServiceRequest req = q.req;
     req.seq = next_seq++; // execution order, as the app expects
-    bool had_dormant = refs.app->hasDormantDamage();
-    net::RequestOutcome out = sys.runOneRequest(refs, req);
+    bool had_dormant = s.app->hasDormantDamage();
+    net::RequestOutcome out = sys.runOneRequest(s, s, req);
     out.startTick = q.tick; // response measured from arrival
 
     ++rep.executed;
@@ -498,7 +497,7 @@ NodeHandle::Impl::step()
         last_heal = out.endTick;
     } else if (out.status == net::RequestStatus::DomainRewound) {
         ++rep.domainRewinds;
-        if (refs.app->hasDormantDamage()) {
+        if (s.app->hasDormantDamage()) {
             // A confined rewind must target the planted domain or
             // escalate; damage surviving one is a defect.
             ++rep.dormantAfterRewind;
@@ -508,7 +507,7 @@ NodeHandle::Impl::step()
             awaiting_reinfect = true;
             last_heal = out.endTick;
         }
-    } else if (awaiting_reinfect && refs.app->hasDormantDamage()) {
+    } else if (awaiting_reinfect && s.app->hasDormantDamage()) {
         ++rep.reinfections;
         if (rep.timeToReinfection == 0) {
             rep.timeToReinfection =

@@ -105,42 +105,17 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
                                           *s->statGroup);
     s->core->setSyscallHandler(kernelPtr.get());
 
-    s->app = std::make_unique<net::ServiceApplication>(
-        profile, cfg.rngSeed + idx * 7919, cfg.pageBytes);
-    s->app->program().loadInto(*proc.space);
-
     if (cfg.asymmetricMode && cfg.monitorEnabled) {
         s->monitor = std::make_unique<mon::Monitor>(cfg, *s->statGroup);
-        s->app->program().registerWith(*s->monitor, s->pid);
         s->core->setTraceSink(s->monitor.get());
         s->monitor->setFaultInjector(injectorPtr.get());
     }
 
-    s->policy = ckpt::makePolicy(cfg, *proc.context, *proc.space, *phys,
-                                 *s->hierarchy, *s->statGroup);
-    s->policy->setFaultInjector(injectorPtr.get());
+    // The initial application checkpoint is the last-resort restore
+    // image; then zero the service's clock so measurements start
+    // clean.
+    startService(*s, *s, profile, cfg.rngSeed + idx * 7919);
     s->core->setCheckpointHooks(s->policy.get());
-    proc.resources->setFaultInjector(injectorPtr.get());
-
-    s->macro = std::make_unique<ckpt::MacroCheckpoint>(
-        cfg, *phys, *s->hierarchy, *s->statGroup);
-    s->macro->setFaultInjector(injectorPtr.get());
-    s->recovery = std::make_unique<RecoveryManager>(
-        cfg, *s->policy, *s->macro, *kernelPtr, *phys, s->pid, *s->core,
-        s->monitor.get(), *s->statGroup);
-
-    // Under DomainRewind the policy *is* the domain engine; give the
-    // recovery ladder its domain-typed view so it can offer the
-    // confined rung.
-    if (cfg.checkpointScheme == CheckpointScheme::DomainRewind) {
-        s->recovery->setDomainEngine(
-            static_cast<ckpt::DomainRewindEngine *>(s->policy.get()));
-    }
-
-    // Take the initial application checkpoint (the last-resort
-    // restore image), then zero the service's clock so measurements
-    // start clean.
-    s->recovery->takeMacroCheckpoint(0);
     s->core->resetTime();
 
     // Arm the overload-resilience front door only when the config
@@ -157,12 +132,46 @@ IndraSystem::deployService(const net::DaemonProfile &profile)
             s->guard->enableDomains(cfg.domainCount);
     }
 
-    if (traceLogPtr)
-        wireSlotTracing(*s);
-
     slots.push_back(std::move(s));
+    if (traceLogPtr)
+        wireSlotTracing(*slots.back());
     INDRA_CHECK_HOOK(checkSinkPtr, onDeploy(slots.back()->pid));
     return idx;
+}
+
+void
+IndraSystem::startService(ServiceSlot &s, Service &svc,
+                          const net::DaemonProfile &profile,
+                          std::uint64_t seed)
+{
+    os::Process &proc = kernelPtr->process(svc.pid);
+    svc.app = std::make_unique<net::ServiceApplication>(profile, seed,
+                                                        cfg.pageBytes);
+    svc.app->program().loadInto(*proc.space);
+    if (s.monitor)
+        svc.app->program().registerWith(*s.monitor, svc.pid);
+
+    svc.policy = ckpt::makePolicy(cfg, *proc.context, *proc.space,
+                                  *phys, *s.hierarchy, *s.statGroup);
+    svc.policy->setFaultInjector(injectorPtr.get());
+    proc.resources->setFaultInjector(injectorPtr.get());
+
+    svc.macro = std::make_unique<ckpt::MacroCheckpoint>(
+        cfg, *phys, *s.hierarchy, *s.statGroup);
+    svc.macro->setFaultInjector(injectorPtr.get());
+    svc.recovery = std::make_unique<RecoveryManager>(
+        cfg, *svc.policy, *svc.macro, *kernelPtr, *phys, svc.pid,
+        *s.core, s.monitor.get(), *s.statGroup);
+
+    // Under DomainRewind the policy *is* the domain engine; give the
+    // recovery ladder its domain-typed view so it can offer the
+    // confined rung.
+    if (cfg.checkpointScheme == CheckpointScheme::DomainRewind) {
+        svc.recovery->setDomainEngine(
+            static_cast<ckpt::DomainRewindEngine *>(svc.policy.get()));
+    }
+
+    svc.recovery->takeMacroCheckpoint(s.core->curTick());
 }
 
 void
@@ -171,16 +180,16 @@ IndraSystem::wireSlotTracing(ServiceSlot &s)
     auto src = static_cast<std::uint32_t>(s.coreId);
     if (s.monitor)
         s.monitor->setTraceLog(traceLogPtr, src);
-    s.policy->setTraceLog(traceLogPtr, src);
-    s.macro->setTraceLog(traceLogPtr, src);
-    s.recovery->setTraceLog(traceLogPtr, src);
     if (s.guard)
         s.guard->setTraceLog(traceLogPtr, src);
-    for (auto &co : s.coServices) {
-        co->policy->setTraceLog(traceLogPtr, src);
-        co->macro->setTraceLog(traceLogPtr, src);
-        co->recovery->setTraceLog(traceLogPtr, src);
-    }
+    auto wire = [&](Service &svc) {
+        svc.policy->setTraceLog(traceLogPtr, src);
+        svc.macro->setTraceLog(traceLogPtr, src);
+        svc.recovery->setTraceLog(traceLogPtr, src);
+    };
+    wire(s);
+    for (auto &co : s.coServices)
+        wire(*co);
 }
 
 void
@@ -202,46 +211,34 @@ IndraSystem::slot(std::size_t idx)
     return *slots[idx];
 }
 
-IndraSystem::ServiceRefs
-IndraSystem::refsForMain(std::size_t slot_idx)
+ServiceLookup
+IndraSystem::findService(Pid pid)
 {
-    ServiceSlot &s = slot(slot_idx);
-    return ServiceRefs{&s, s.app.get(), s.policy.get(), s.macro.get(),
-                       s.recovery.get(), s.pid,
-                       &s.requestsSinceMacro};
-}
-
-IndraSystem::ServiceRefs
-IndraSystem::refsForCo(std::size_t slot_idx, std::size_t co_idx)
-{
-    ServiceSlot &s = slot(slot_idx);
-    panic_if(co_idx >= s.coServices.size(), "bad co-service index");
-    CoService &co = *s.coServices[co_idx];
-    return ServiceRefs{&s, co.app.get(), co.policy.get(),
-                       co.macro.get(), co.recovery.get(), co.pid,
-                       &co.requestsSinceMacro};
-}
-
-IndraSystem::ServiceRefs
-IndraSystem::refsForPid(Pid pid)
-{
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i]->pid == pid)
-            return refsForMain(i);
-        for (std::size_t c = 0; c < slots[i]->coServices.size(); ++c) {
-            if (slots[i]->coServices[c]->pid == pid)
-                return refsForCo(i, c);
+    for (auto &s : slots) {
+        if (s->pid == pid)
+            return {s.get(), s.get()};
+        for (auto &co : s->coServices) {
+            if (co->pid == pid)
+                return {s.get(), co.get()};
         }
     }
-    panic("no service for pid ", pid);
+    return {};
+}
+
+net::ServiceApplication *
+IndraSystem::appOf(Pid pid)
+{
+    ServiceLookup found = findService(pid);
+    return found.service ? found.service->app.get() : nullptr;
 }
 
 Cycles
 IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
 {
-    ServiceRefs refs = refsForPid(pid);
-    Cycles cost = refs.policy->onRequestBegin(tick);
-    refs.recovery->noteRequestBegin(tick);
+    ServiceLookup found = findService(pid);
+    panic_if(!found.service, "no service for pid ", pid);
+    Cycles cost = found.service->policy->onRequestBegin(tick);
+    found.service->recovery->noteRequestBegin(tick);
     INDRA_CHECK_HOOK(checkSinkPtr, onEpochBegin(tick, pid));
     return cost;
 }
@@ -249,9 +246,10 @@ IndraSystem::onRequestCheckpoint(Tick tick, Pid pid)
 void
 IndraSystem::onDynCodeDeclared(Pid pid, Addr base, std::uint64_t len)
 {
-    ServiceRefs refs = refsForPid(pid);
-    if (refs.slot->monitor)
-        refs.slot->monitor->registerDynCodeRegion(pid, base, len);
+    ServiceLookup found = findService(pid);
+    panic_if(!found.service, "no service for pid ", pid);
+    if (found.slot->monitor)
+        found.slot->monitor->registerDynCodeRegion(pid, base, len);
 }
 
 std::size_t
@@ -259,35 +257,11 @@ IndraSystem::deployCoService(std::size_t host_slot,
                              const net::DaemonProfile &profile)
 {
     ServiceSlot &s = slot(host_slot);
-    os::Process &host_proc = kernelPtr->process(s.pid);
-    (void)host_proc;
-
-    auto co = std::make_unique<CoService>();
+    auto co = std::make_unique<Service>();
     co->pid = kernelPtr->createProcess(profile.name, s.coreId);
-    os::Process &proc = kernelPtr->process(co->pid);
-
-    co->app = std::make_unique<net::ServiceApplication>(
-        profile,
-        cfg.rngSeed + 104729 * (s.coServices.size() + 1) + host_slot,
-        cfg.pageBytes);
-    co->app->program().loadInto(*proc.space);
-    if (s.monitor)
-        co->app->program().registerWith(*s.monitor, co->pid);
-
-    co->policy = ckpt::makePolicy(cfg, *proc.context, *proc.space,
-                                  *phys, *s.hierarchy, *s.statGroup);
-    co->policy->setFaultInjector(injectorPtr.get());
-    proc.resources->setFaultInjector(injectorPtr.get());
-    co->macro = std::make_unique<ckpt::MacroCheckpoint>(
-        cfg, *phys, *s.hierarchy, *s.statGroup);
-    co->macro->setFaultInjector(injectorPtr.get());
-    co->recovery = std::make_unique<RecoveryManager>(
-        cfg, *co->policy, *co->macro, *kernelPtr, *phys, co->pid,
-        *s.core, s.monitor.get(), *s.statGroup);
-    if (cfg.checkpointScheme == CheckpointScheme::DomainRewind) {
-        co->recovery->setDomainEngine(
-            static_cast<ckpt::DomainRewindEngine *>(co->policy.get()));
-    }
+    startService(
+        s, *co, profile,
+        cfg.rngSeed + 104729 * (s.coServices.size() + 1) + host_slot);
 
     // Install (or extend) the CR3-routed hook mux on the shared core.
     if (!s.hookMux) {
@@ -297,31 +271,22 @@ IndraSystem::deployCoService(std::size_t host_slot,
     }
     s.hookMux->route(co->pid, co->policy.get());
 
-    co->recovery->takeMacroCheckpoint(s.core->curTick());
-
-    if (traceLogPtr) {
-        auto src = static_cast<std::uint32_t>(s.coreId);
-        co->policy->setTraceLog(traceLogPtr, src);
-        co->macro->setTraceLog(traceLogPtr, src);
-        co->recovery->setTraceLog(traceLogPtr, src);
-    }
-
     s.coServices.push_back(std::move(co));
+    if (traceLogPtr)
+        wireSlotTracing(s);
     INDRA_CHECK_HOOK(checkSinkPtr, onDeploy(s.coServices.back()->pid));
     return s.coServices.size() - 1;
 }
 
 net::RequestOutcome
-IndraSystem::runOneRequest(const ServiceRefs &refs,
+IndraSystem::runOneRequest(ServiceSlot &s, Service &svc,
                            const net::ServiceRequest &req)
 {
-    ServiceSlot &s = *refs.slot;
-
     // Time-shared core: switch process contexts when another process
     // last ran here (pipeline flush, CAM invalidation, switch cost).
-    if (s.runningPid != 0 && s.runningPid != refs.pid)
+    if (s.runningPid != 0 && s.runningPid != svc.pid)
         s.core->onContextSwitch();
-    s.runningPid = refs.pid;
+    s.runningPid = svc.pid;
 
     net::RequestOutcome out;
     out.seq = req.seq;
@@ -343,7 +308,7 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
         domain_req.domain = dom;
         reqp = &domain_req;
         out.domain = dom;
-        static_cast<ckpt::DomainRewindEngine *>(refs.policy)
+        static_cast<ckpt::DomainRewindEngine *>(svc.policy.get())
             ->setActiveDomain(dom);
     }
 
@@ -363,18 +328,18 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
     // service's backups are being eaten).
     std::uint64_t corrupt0 = 0;
     if (s.guard) {
-        corrupt0 = refs.policy->corruptionDetected() +
-                   refs.macro->corruptionDetected();
+        corrupt0 = svc.policy->corruptionDetected() +
+                   svc.macro->corruptionDetected();
     }
 
-    net::RequestExecution gen = refs.app->beginRequest(*reqp);
+    net::RequestExecution gen = svc.app->beginRequest(*reqp);
     cpu::Instruction inst;
     bool failed = false;
     bool detected = false;
     Tick fail_tick = 0;
 
     while (gen.next(inst)) {
-        cpu::ExecResult res = s.core->execute(refs.pid, inst);
+        cpu::ExecResult res = s.core->execute(svc.pid, inst);
 
         if (s.monitor && s.monitor->pendingDetection()) {
             const mon::DetectionEvent &det =
@@ -396,21 +361,21 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
     }
 
     INDRA_CHECK_HOOK(checkSinkPtr,
-                     onVerdict(s.core->curTick(), refs.pid, detected));
+                     onVerdict(s.core->curTick(), svc.pid, detected));
 
     if (failed) {
-        handleFailure(refs, out, fail_tick, detected, out.violation);
+        handleFailure(s, svc, out, fail_tick, detected, out.violation);
     } else {
         out.status = net::RequestStatus::Served;
-        refs.recovery->noteSuccess();
+        svc.recovery->noteSuccess();
         ++s.requestsProcessed;
-        if (++*refs.requestsSinceMacro >= cfg.macroCheckpointPeriod) {
-            refs.recovery->takeMacroCheckpoint(s.core->curTick());
-            *refs.requestsSinceMacro = 0;
+        if (++svc.requestsSinceMacro >= cfg.macroCheckpointPeriod) {
+            svc.recovery->takeMacroCheckpoint(s.core->curTick());
+            svc.requestsSinceMacro = 0;
             if (s.guard)
                 s.guard->noteMacroEpoch();
             INDRA_CHECK_HOOK(checkSinkPtr,
-                             onMacroCapture(s.core->curTick(), refs.pid));
+                             onMacroCapture(s.core->curTick(), svc.pid));
         }
     }
 
@@ -418,11 +383,11 @@ IndraSystem::runOneRequest(const ServiceRefs &refs,
     out.instructions = s.core->instructions() - instr0;
 
     if (s.guard) {
-        std::uint64_t corrupt1 = refs.policy->corruptionDetected() +
-                                 refs.macro->corruptionDetected();
+        std::uint64_t corrupt1 = svc.policy->corruptionDetected() +
+                                 svc.macro->corruptionDetected();
         s.guard->observeOutcome(out, corrupt1 - corrupt0, out.endTick);
         s.guard->noteHeapPages(
-            kernelPtr->process(refs.pid).resources->heapPages(),
+            kernelPtr->process(svc.pid).resources->heapPages(),
             out.endTick);
     }
     return out;
@@ -432,22 +397,24 @@ net::RequestOutcome
 IndraSystem::processRequest(std::size_t slot_idx,
                             const net::ServiceRequest &req)
 {
-    return runOneRequest(refsForMain(slot_idx), req);
+    ServiceSlot &s = slot(slot_idx);
+    return runOneRequest(s, s, req);
 }
 
 net::RequestOutcome
 IndraSystem::processCoRequest(std::size_t slot_idx, std::size_t co_idx,
                               const net::ServiceRequest &req)
 {
-    return runOneRequest(refsForCo(slot_idx, co_idx), req);
+    ServiceSlot &s = slot(slot_idx);
+    panic_if(co_idx >= s.coServices.size(), "bad co-service index");
+    return runOneRequest(s, *s.coServices[co_idx], req);
 }
 
 void
-IndraSystem::handleFailure(const ServiceRefs &refs,
+IndraSystem::handleFailure(ServiceSlot &s, Service &svc,
                            net::RequestOutcome &out, Tick fail_tick,
                            bool detected, mon::Violation violation)
 {
-    ServiceSlot &s = *refs.slot;
     out.violation = violation;
     out.failTick = fail_tick;
 
@@ -461,11 +428,11 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
             // reach past the compartment boundary, so flag it as
             // cross-domain taint (the ladder escalates instead).
             dom_engine =
-                static_cast<ckpt::DomainRewindEngine *>(refs.policy);
+                static_cast<ckpt::DomainRewindEngine *>(svc.policy.get());
             std::uint32_t dom =
-                refs.app->hasDormantDamage() &&
-                        refs.app->dormantDomain() != net::domainUnassigned
-                    ? refs.app->dormantDomain()
+                svc.app->hasDormantDamage() &&
+                        svc.app->dormantDomain() != net::domainUnassigned
+                    ? svc.app->dormantDomain()
                     : dom_engine->activeDomain();
             bool cross =
                 out.attack == net::AttackKind::CodeInjection ||
@@ -473,26 +440,26 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
             dom_engine->attributeFailure(dom, cross);
         }
 
-        RecoveryLevel level = refs.recovery->recover(fail_tick);
+        RecoveryLevel level = svc.recovery->recover(fail_tick);
         if (level == RecoveryLevel::Rejuvenation) {
             // The reborn service starts from its load image: nothing
             // dormant survives, and a fresh macro checkpoint was
             // already taken inside the rejuvenation.
             out.status = net::RequestStatus::Rejuvenated;
-            refs.app->healDormantDamage();
-            *refs.requestsSinceMacro = 0;
+            svc.app->healDormantDamage();
+            svc.requestsSinceMacro = 0;
         } else if (level == RecoveryLevel::Macro) {
             out.status = net::RequestStatus::MacroRecovered;
-            refs.app->healDormantDamage();
-            *refs.requestsSinceMacro = 0;
+            svc.app->healDormantDamage();
+            svc.requestsSinceMacro = 0;
         } else if (level == RecoveryLevel::Domain) {
             out.status = net::RequestStatus::DomainRewound;
             // Rewinding the compartment the damage was planted in
             // restores its pre-plant anchors: the plant is gone.
-            if (refs.app->hasDormantDamage() &&
+            if (svc.app->hasDormantDamage() &&
                 dom_engine->lastRewoundDomain() ==
-                    refs.app->dormantDomain()) {
-                refs.app->healDormantDamage();
+                    svc.app->dormantDomain()) {
+                svc.app->healDormantDamage();
             }
         } else {
             out.status = detected
@@ -515,7 +482,7 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
             // fully restored memory. The cost is discarded — the
             // checker must not perturb the timing it audits.
             if (level == RecoveryLevel::Micro)
-                refs.policy->drainRollback(s.core->curTick());
+                svc.policy->drainRollback(s.core->curTick());
             check::RestoreLevel rl =
                 level == RecoveryLevel::Micro
                     ? check::RestoreLevel::Micro
@@ -524,7 +491,7 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
                           : level == RecoveryLevel::Macro
                                 ? check::RestoreLevel::Macro
                                 : check::RestoreLevel::Rejuvenation;
-            checkSinkPtr->onRecovered(s.core->curTick(), refs.pid, rl);
+            checkSinkPtr->onRecovered(s.core->curTick(), svc.pid, rl);
         }
 #endif
         return;
@@ -537,29 +504,28 @@ IndraSystem::handleFailure(const ServiceRefs &refs,
     s.core->stallUntil(fail_tick);
     s.core->stall(cfg.serviceRestartCycles);
     s.core->flushPipeline();
-    if (refs.macro->hasCheckpoint()) {
-        os::Process &proc = kernelPtr->process(refs.pid);
-        refs.macro->restore(s.core->curTick(), *proc.context,
+    if (svc.macro->hasCheckpoint()) {
+        os::Process &proc = kernelPtr->process(svc.pid);
+        svc.macro->restore(s.core->curTick(), *proc.context,
                             *proc.space, *proc.resources);
     }
-    refs.app->healDormantDamage();
+    svc.app->healDormantDamage();
     if (s.monitor)
-        s.monitor->onRecovery(refs.pid);
+        s.monitor->onRecovery(svc.pid);
 }
 
 void
 IndraSystem::proactiveRejuvenate(std::size_t slot_idx, Tick now,
                                  std::uint8_t trigger)
 {
-    ServiceRefs refs = refsForMain(slot_idx);
-    ServiceSlot &s = *refs.slot;
+    ServiceSlot &s = slot(slot_idx);
     s.core->stallUntil(now);
     Tick t0 = s.core->curTick();
-    refs.recovery->proactiveRestore(t0);
-    refs.app->healDormantDamage();
-    *refs.requestsSinceMacro = 0;
+    s.recovery->proactiveRestore(t0);
+    s.app->healDormantDamage();
+    s.requestsSinceMacro = 0;
     INDRA_CHECK_HOOK(checkSinkPtr,
-                     onRecovered(s.core->curTick(), refs.pid,
+                     onRecovered(s.core->curTick(), s.pid,
                                  check::RestoreLevel::Rejuvenation));
     if (s.guard)
         s.guard->noteProactiveRestore(s.core->curTick());
@@ -568,20 +534,6 @@ IndraSystem::proactiveRejuvenate(std::size_t slot_idx, Tick now,
                 static_cast<std::uint32_t>(s.coreId),
                 static_cast<std::uint64_t>(trigger),
                 s.core->curTick() - t0);
-}
-
-net::ServiceApplication *
-IndraSystem::appOf(Pid pid)
-{
-    for (auto &s : slots) {
-        if (s->pid == pid)
-            return s->app.get();
-        for (auto &co : s->coServices) {
-            if (co->pid == pid)
-                return co->app.get();
-        }
-    }
-    return nullptr;
 }
 
 std::vector<net::RequestOutcome>

@@ -91,12 +91,13 @@ class PidRoutedHooks : public cpu::CheckpointHooks
 };
 
 /**
- * A second service process co-located on a host slot's core, as the
- * paper's CR3-tagged trace records allow: the resurrector selects the
- * right metadata per process; the backup hardware selects the right
- * per-process records.
+ * One service process: its application, backup engines and recovery
+ * ladder. The main service of a slot and every process co-located on
+ * its core share this record, as the paper's CR3/pid-tagged trace
+ * records let the resurrector pick per-process monitor metadata and
+ * the backup hardware pick per-process records.
  */
-struct CoService
+struct Service
 {
     Pid pid = 0;
     std::unique_ptr<net::ServiceApplication> app;
@@ -106,10 +107,14 @@ struct CoService
     std::uint64_t requestsSinceMacro = 0;
 };
 
-/** One deployed network service bound to a resurrectee core. */
-struct ServiceSlot
+/**
+ * The resurrectee core a slot's services time-share. A base of
+ * ServiceSlot ahead of Service, so it outlives the engines: they
+ * register their stats under statGroup and hold the core, hierarchy
+ * and monitor by reference.
+ */
+struct SlotCore
 {
-    Pid pid = 0;
     CoreId coreId = 0;
     /** Stat subtree; declared first so children unregister cleanly. */
     std::unique_ptr<stats::StatGroup> statGroup;
@@ -123,27 +128,37 @@ struct ServiceSlot
     std::unique_ptr<mem::MemHierarchy> hierarchy;
     std::unique_ptr<cpu::Core> core;
     std::unique_ptr<mon::Monitor> monitor;  //!< null in symmetric mode
-    std::unique_ptr<net::ServiceApplication> app;
-    std::unique_ptr<ckpt::CheckpointPolicy> policy;
-    std::unique_ptr<ckpt::MacroCheckpoint> macro;
-    std::unique_ptr<RecoveryManager> recovery;
-    std::uint64_t requestsSinceMacro = 0;
+};
+
+/**
+ * One deployed network service bound to a resurrectee core: the main
+ * Service, plus any processes co-located on the same core.
+ */
+struct ServiceSlot : SlotCore, Service
+{
     std::uint64_t requestsProcessed = 0;
 
     /**
      * Overload-resilience front door; null when the system's
      * ResilienceConfig arms nothing (the default), in which case
      * request processing is bit-identical to a build without the
-     * resilience subsystem.
+     * resilience subsystem. Co-located services share it.
      */
     std::unique_ptr<resilience::ServiceGuard> guard;
 
     /** CR3-routed hook mux (installed when a co-service exists). */
     std::unique_ptr<PidRoutedHooks> hookMux;
     /** Additional processes time-sharing this core. */
-    std::vector<std::unique_ptr<CoService>> coServices;
+    std::vector<std::unique_ptr<Service>> coServices;
     /** Process currently on the core (context-switch tracking). */
     Pid runningPid = 0;
+};
+
+/** A process's service record and the slot whose core runs it. */
+struct ServiceLookup
+{
+    ServiceSlot *slot = nullptr;  //!< null when no service owns the pid
+    Service *service = nullptr;
 };
 
 /**
@@ -244,6 +259,12 @@ class IndraSystem : public os::KernelListener
                              std::uint8_t trigger);
 
     /**
+     * The service owning @p pid (main or co-located) and its slot;
+     * both null when no such process exists.
+     */
+    ServiceLookup findService(Pid pid);
+
+    /**
      * The service application owning @p pid (main or co-located), or
      * nullptr when no such process exists.
      */
@@ -304,34 +325,26 @@ class IndraSystem : public os::KernelListener
   private:
     /**
      * The steppable storm facade drives the request loop through the
-     * same private refs runStorm always used (core/storm.cc).
+     * same private runOneRequest runStorm always used (core/storm.cc).
      */
     friend class NodeHandle;
 
-    /** Everything needed to serve one process's request. */
-    struct ServiceRefs
-    {
-        ServiceSlot *slot;
-        net::ServiceApplication *app;
-        ckpt::CheckpointPolicy *policy;
-        ckpt::MacroCheckpoint *macro;
-        RecoveryManager *recovery;
-        Pid pid;
-        std::uint64_t *requestsSinceMacro;
-    };
-
-    ServiceRefs refsForMain(std::size_t slot_idx);
-    ServiceRefs refsForCo(std::size_t slot_idx, std::size_t co_idx);
-
-    /** The service owning @p pid (main or co-located). */
-    ServiceRefs refsForPid(Pid pid);
+    /**
+     * Bring up @p svc (its pid already created) on @p s's core: load
+     * the program, register it with the slot's monitor, build its
+     * backup engines and recovery ladder, and take the initial macro
+     * checkpoint. The caller routes the core's checkpoint hooks.
+     */
+    void startService(ServiceSlot &s, Service &svc,
+                      const net::DaemonProfile &profile,
+                      std::uint64_t seed);
 
     /** Core of the request-processing loop, shared by all services. */
-    net::RequestOutcome runOneRequest(const ServiceRefs &refs,
+    net::RequestOutcome runOneRequest(ServiceSlot &s, Service &svc,
                                       const net::ServiceRequest &req);
 
     /** Drive the fault/crash recovery path for one request. */
-    void handleFailure(const ServiceRefs &refs,
+    void handleFailure(ServiceSlot &s, Service &svc,
                        net::RequestOutcome &out, Tick fail_tick,
                        bool detected, mon::Violation violation);
 

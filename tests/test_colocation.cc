@@ -6,7 +6,9 @@
 #include <map>
 #include <vector>
 
+#include "check/checker.hh"
 #include "core/system.hh"
+#include "obs/trace_log.hh"
 #include "sim/logging.hh"
 #include "test_util.hh"
 
@@ -141,6 +143,98 @@ TEST(Colocation, ContextSwitchChargedBetweenProcesses)
     auto out = sys.processCoRequest(slot, co, request(1));
     EXPECT_GT(out.startTick, t0);
 }
+
+TEST(Colocation, TraceLogWiresCoServiceBeforeAndAfterDeploy)
+{
+    if (!obs::tracingCompiledIn())
+        GTEST_SKIP() << "built with INDRA_OBS_TRACING=OFF";
+    setLogVerbosity(0);
+    for (bool attach_first : {true, false}) {
+        SCOPED_TRACE(attach_first ? "attached before deployCoService"
+                                  : "attached after deployCoService");
+        SystemConfig cfg = coConfig();
+        cfg.macroCheckpointPeriod = 1;  // every served request captures
+        IndraSystem sys(NodeConfig{cfg});
+        obs::TraceLog log;
+        sys.boot();
+        std::size_t slot = sys.deployService(shortDaemon("httpd"));
+        if (attach_first)
+            sys.attachTraceLog(&log);
+        std::size_t co = sys.deployCoService(slot, shortDaemon("bind"));
+        if (!attach_first)
+            sys.attachTraceLog(&log);
+        log.clear();
+
+        // Only the co-service runs: a served request (its macro
+        // engine captures) and a detected attack (its policy arms a
+        // rollback, its recovery ladder runs the micro rung).
+        EXPECT_EQ(sys.processCoRequest(slot, co, request(1)).status,
+                  RequestStatus::Served);
+        EXPECT_EQ(sys.processCoRequest(slot, co,
+                                       request(2, AttackKind::StackSmash))
+                      .status,
+                  RequestStatus::DetectedRecovered);
+
+        auto host = static_cast<std::uint32_t>(sys.slot(slot).coreId);
+        for (obs::EventKind kind :
+             {obs::EventKind::MacroCapture, obs::EventKind::RollbackArmed,
+              obs::EventKind::MicroRecovery}) {
+            SCOPED_TRACE(obs::eventKindName(kind));
+            EXPECT_GE(log.countOf(kind), 1u);
+        }
+        for (std::size_t i = 0; i < log.size(); ++i)
+            EXPECT_EQ(log.at(i).source, host);
+    }
+}
+
+TEST(Colocation, AppOfResolvesMainAndCoPids)
+{
+    setLogVerbosity(0);
+    IndraSystem sys(NodeConfig{coConfig()});
+    sys.boot();
+    std::size_t slot = sys.deployService(shortDaemon("httpd"));
+    std::size_t co = sys.deployCoService(slot, shortDaemon("bind"));
+    core::ServiceSlot &s = sys.slot(slot);
+    core::Service &co_svc = *s.coServices[co];
+
+    EXPECT_EQ(sys.appOf(s.pid), s.app.get());
+    EXPECT_EQ(sys.appOf(co_svc.pid), co_svc.app.get());
+    EXPECT_EQ(sys.appOf(co_svc.pid + 100), nullptr);
+
+    core::ServiceLookup found = sys.findService(co_svc.pid);
+    EXPECT_EQ(found.slot, &s);
+    EXPECT_EQ(found.service, &co_svc);
+    EXPECT_EQ(sys.findService(co_svc.pid + 100).slot, nullptr);
+}
+
+#if INDRA_CHECK_ENABLED
+TEST(Colocation, CheckerResolvesCoServiceToHostGuard)
+{
+    setLogVerbosity(0);
+    resilience::ResilienceConfig rc;
+    rc.queueBound = 6;
+    IndraSystem sys(NodeConfig{coConfig(), {}, rc});
+    check::SystemChecker checker(sys);
+    sys.attachChecker(&checker);
+    // A probe invariant that records the guard each verdict sees.
+    std::vector<const resilience::ServiceGuard *> seen;
+    checker.registry().add(
+        check::InvariantId::HealthTransitionLegal,
+        [&seen](const check::CheckContext &ctx, std::string &) {
+            seen.push_back(ctx.guard);
+            return true;
+        });
+    sys.boot();
+    std::size_t slot = sys.deployService(shortDaemon("httpd"));
+    std::size_t co = sys.deployCoService(slot, shortDaemon("bind"));
+
+    sys.processCoRequest(slot, co, request(1));
+    ASSERT_EQ(seen.size(), 1u);
+    ASSERT_NE(sys.slot(slot).guard, nullptr);
+    EXPECT_EQ(seen[0], sys.slot(slot).guard.get());
+    EXPECT_TRUE(checker.ok());
+}
+#endif // INDRA_CHECK_ENABLED
 
 TEST(OpenLoop, ResponseIncludesQueueingBehindRecovery)
 {
